@@ -17,7 +17,7 @@
 //! embedded fault plan says was reachable, and retries must stay within
 //! the configured budget.
 //!
-//! Serving-mode (event-driven) reports get two further treatments: every
+//! Two further treatments cover the serving view: every
 //! SLO tail percentile (p50/p95/p99 queue wait and iteration latency),
 //! the goodput and the rejection/shed rates are re-folded from the job
 //! rows through an independent nearest-rank implementation; and the
@@ -76,7 +76,6 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
     let mut sheds = vec![0usize; n_jobs];
     let mut event_cost = vec![0u64; n_jobs];
     let mut lost_by_event = vec![false; report.devices.len()];
-    let event_mode = report.mode == "event-driven";
     let mut last_round = 0usize;
     let mut last_at_ns = 0u64;
     for e in &report.events {
@@ -130,14 +129,9 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
             FleetEventKind::Requeue { .. } => requeues[j] += 1,
             FleetEventKind::Backoff { until_round, .. } => {
                 backoffs[j] += 1;
-                // In event mode the window is a virtual-ns instant and the
-                // epoch is not a clock; compare against the right axis.
-                let window_open = if event_mode {
-                    *until_round as u64 > e.at_ns
-                } else {
-                    *until_round > e.round
-                };
-                if !window_open {
+                // The window is a virtual-ns instant (the epoch is not a
+                // clock), so compare against the event's timestamp.
+                if *until_round as u64 <= e.at_ns {
                     diags.push(Diagnostic::error(
                         "cluster-backoff-window",
                         report.jobs[j].name.clone(),
@@ -147,12 +141,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
             }
             FleetEventKind::Migrate { to, .. } => {
                 migrates[j] += 1;
-                let target_lost = if event_mode {
-                    report.fault_plan.is_lost_at_ns(*to, e.at_ns)
-                } else {
-                    report.fault_plan.is_lost(*to, e.round)
-                };
-                if target_lost {
+                if report.fault_plan.is_lost_at_ns(*to, e.at_ns) {
                     diags.push(Diagnostic::error(
                         "cluster-migrate-target",
                         report.jobs[j].name.clone(),
@@ -448,33 +437,18 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
         }
     }
 
-    // --- Fleet rollup: totals, makespan, utilization. In BSP mode the
-    // makespan is the furthest any device ran; in event mode it is the
-    // last instant anything happened — the maximum event timestamp. ---
-    if event_mode {
-        let max_at = report.events.iter().map(|e| e.at_ns).max().unwrap_or(0);
-        if report.makespan_ns != max_at {
-            diags.push(Diagnostic::error(
-                "cluster-makespan",
-                "report",
-                format!(
-                    "event-mode makespan {} != last event timestamp {max_at}",
-                    report.makespan_ns
-                ),
-            ));
-        }
-    } else {
-        let max_busy = report.devices.iter().map(|d| d.busy_ns).max().unwrap_or(0);
-        if report.makespan_ns != max_busy {
-            diags.push(Diagnostic::error(
-                "cluster-makespan",
-                "report",
-                format!(
-                    "makespan {} != max device busy {max_busy}",
-                    report.makespan_ns
-                ),
-            ));
-        }
+    // --- Fleet rollup: totals, makespan, utilization. The makespan is
+    // the last instant anything happened — the maximum event timestamp. ---
+    let max_at = report.events.iter().map(|e| e.at_ns).max().unwrap_or(0);
+    if report.makespan_ns != max_at {
+        diags.push(Diagnostic::error(
+            "cluster-makespan",
+            "report",
+            format!(
+                "makespan {} != last event timestamp {max_at}",
+                report.makespan_ns
+            ),
+        ));
     }
     let sum_busy: u64 = report.devices.iter().map(|d| d.busy_ns).sum();
     if report.busy_ns != sum_busy {
@@ -754,84 +728,82 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
         }
     }
 
-    // --- Event-mode chain consistency: arrival echoes, queue waits,
+    // --- Chain consistency: arrival echoes, queue waits,
     // completion instants and terminal settlement all re-derive from the
     // timestamped chain. ---
-    if event_mode {
-        for (j, row) in report.jobs.iter().enumerate() {
-            let subject = row.name.clone();
-            let arrive = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Arrive { job } if *job == j));
-            let Some(arrive) = arrive else {
+    for (j, row) in report.jobs.iter().enumerate() {
+        let subject = row.name.clone();
+        let arrive = report
+            .events
+            .iter()
+            .find(|e| matches!(&e.kind, FleetEventKind::Arrive { job } if *job == j));
+        let Some(arrive) = arrive else {
+            diags.push(Diagnostic::error(
+                "cluster-arrival-missing",
+                subject,
+                "job has no arrive event on the chain",
+            ));
+            continue;
+        };
+        if arrive.at_ns != row.arrival_ns {
+            diags.push(Diagnostic::error(
+                "cluster-arrival-echo",
+                subject.clone(),
+                format!(
+                    "row claims arrival at {} ns, the chain says {} ns",
+                    row.arrival_ns, arrive.at_ns
+                ),
+            ));
+        }
+        let dispatch = report
+            .events
+            .iter()
+            .find(|e| matches!(&e.kind, FleetEventKind::Dispatch { job, .. } if *job == j));
+        if let Some(dispatch) = dispatch {
+            if dispatch.at_ns != arrive.at_ns + row.queue_wait_ns {
                 diags.push(Diagnostic::error(
-                    "cluster-arrival-missing",
-                    subject,
-                    "event-mode job has no arrive event on the chain",
-                ));
-                continue;
-            };
-            if arrive.at_ns != row.arrival_ns {
-                diags.push(Diagnostic::error(
-                    "cluster-arrival-echo",
+                    "cluster-queue-wait-refold",
                     subject.clone(),
                     format!(
-                        "row claims arrival at {} ns, the chain says {} ns",
-                        row.arrival_ns, arrive.at_ns
+                        "row claims a {} ns queue wait, the chain derives {} ns",
+                        row.queue_wait_ns,
+                        dispatch.at_ns.saturating_sub(arrive.at_ns)
                     ),
                 ));
             }
-            let dispatch = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Dispatch { job, .. } if *job == j));
-            if let Some(dispatch) = dispatch {
-                if dispatch.at_ns != arrive.at_ns + row.queue_wait_ns {
-                    diags.push(Diagnostic::error(
-                        "cluster-queue-wait-refold",
-                        subject.clone(),
-                        format!(
-                            "row claims a {} ns queue wait, the chain derives {} ns",
-                            row.queue_wait_ns,
-                            dispatch.at_ns.saturating_sub(arrive.at_ns)
-                        ),
-                    ));
-                }
-            }
-            let complete = report
-                .events
-                .iter()
-                .find(|e| matches!(&e.kind, FleetEventKind::Complete { job, .. } if *job == j));
-            if let Some(complete) = complete {
-                if Some(complete.at_ns) != row.finish_ns {
-                    diags.push(Diagnostic::error(
-                        "cluster-finish-echo",
-                        subject.clone(),
-                        format!(
-                            "row claims finish at {:?} ns, the chain says {} ns",
-                            row.finish_ns, complete.at_ns
-                        ),
-                    ));
-                }
-            }
-            let has_terminal = report.events.iter().any(|e| match &e.kind {
-                FleetEventKind::Complete { job, .. }
-                | FleetEventKind::Reject { job, .. }
-                | FleetEventKind::Shed { job, .. }
-                | FleetEventKind::Fail { job, .. } => *job == j,
-                _ => false,
-            });
-            if !has_terminal {
+        }
+        let complete = report
+            .events
+            .iter()
+            .find(|e| matches!(&e.kind, FleetEventKind::Complete { job, .. } if *job == j));
+        if let Some(complete) = complete {
+            if Some(complete.at_ns) != row.finish_ns {
                 diags.push(Diagnostic::error(
-                    "cluster-terminal-event",
-                    subject,
+                    "cluster-finish-echo",
+                    subject.clone(),
                     format!(
-                        "job settled as {:?} but carries no terminal event on the chain",
-                        row.outcome.tag()
+                        "row claims finish at {:?} ns, the chain says {} ns",
+                        row.finish_ns, complete.at_ns
                     ),
                 ));
             }
+        }
+        let has_terminal = report.events.iter().any(|e| match &e.kind {
+            FleetEventKind::Complete { job, .. }
+            | FleetEventKind::Reject { job, .. }
+            | FleetEventKind::Shed { job, .. }
+            | FleetEventKind::Fail { job, .. } => *job == j,
+            _ => false,
+        });
+        if !has_terminal {
+            diags.push(Diagnostic::error(
+                "cluster-terminal-event",
+                subject,
+                format!(
+                    "job settled as {:?} but carries no terminal event on the chain",
+                    row.outcome.tag()
+                ),
+            ));
         }
     }
 
@@ -896,7 +868,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimose_cluster::{ArrivalProcess, Cluster, DevicePool, Mode, SchedulePolicy, Workload};
+    use mimose_cluster::{ArrivalProcess, Cluster, DevicePool, SchedulePolicy, Workload};
 
     #[test]
     fn clean_run_lints_clean() {
@@ -940,9 +912,13 @@ mod tests {
     }
 
     fn lossy_outcome() -> mimose_cluster::ClusterOutcome {
-        use mimose_chaos::{DeviceFault, FleetFaultPlan};
-        let faults =
-            FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 });
+        use mimose_chaos::{FleetFaultPlan, TimedDeviceFault};
+        let faults = FleetFaultPlan::none(0).with_timed_fault(
+            1,
+            TimedDeviceFault::Lost {
+                at_ns: 1_618_617_222,
+            },
+        );
         Cluster::builder()
             .devices(DevicePool::v100(4))
             .workload(Workload::mixed(4))
@@ -964,7 +940,6 @@ mod tests {
         Cluster::builder()
             .devices(DevicePool::v100(2))
             .workload(Workload::mixed(2))
-            .mode(Mode::EventDriven)
             .arrivals(ArrivalProcess::poisson(400_000, 17))
             .faults(faults)
             .record(true)

@@ -1,6 +1,6 @@
-//! Fleet-scheduler throughput vs device count: wall-clock cost of
-//! scheduling the eight-job mixed workload over 1/2/4 V100s, serial rounds
-//! vs one scoped thread per busy device. The virtual-time scaling record
+//! Fleet-scheduler throughput vs device count: wall-clock cost of the
+//! discrete-event driver scheduling the eight-job mixed workload (every
+//! job arriving at `t = 0`) over 1/2/4 V100s. The virtual-time scaling record
 //! (makespan, utilization per pool size) is written by `exp cluster --gate`
 //! as `BENCH_cluster.json`; this suite measures what the scheduler itself
 //! costs the host.
@@ -24,24 +24,12 @@ fn bench_cluster(c: &mut Criterion) {
                 let outcome = Cluster::builder()
                     .devices(DevicePool::v100(devices))
                     .workload(Workload::mixed(iters))
-                    .threads(1)
                     .run()
                     .expect("canonical workload runs");
                 black_box(outcome)
             })
         });
     }
-    g.bench_function_with("threaded_4dev", meta, |b| {
-        b.iter(|| {
-            let outcome = Cluster::builder()
-                .devices(DevicePool::v100(4))
-                .workload(Workload::mixed(iters))
-                .threads(4)
-                .run()
-                .expect("canonical workload runs");
-            black_box(outcome)
-        })
-    });
     g.finish();
 }
 

@@ -1,4 +1,4 @@
-//! Serving-mode (event-driven) scheduler throughput: wall-clock cost of
+//! Serving scheduler throughput: wall-clock cost of
 //! the discrete-event loop dispatching the mixed workload under Poisson
 //! arrivals, at the canonical pool size and under overload with a bounded
 //! queue. The virtual-time SLO record (tail latencies, goodput, shed rate)
@@ -7,7 +7,7 @@
 
 use mimose_bench::harness::{BenchMeta, Criterion};
 use mimose_bench::{criterion_group, criterion_main};
-use mimose_cluster::{ArrivalProcess, Cluster, DevicePool, Mode, Workload};
+use mimose_cluster::{ArrivalProcess, Cluster, DevicePool, Workload};
 use std::hint::black_box;
 
 fn bench_serve(c: &mut Criterion) {
@@ -23,7 +23,6 @@ fn bench_serve(c: &mut Criterion) {
             let outcome = Cluster::builder()
                 .devices(DevicePool::v100(2))
                 .workload(Workload::mixed(iters))
-                .mode(Mode::EventDriven)
                 .arrivals(ArrivalProcess::poisson(400_000, 42))
                 .run()
                 .expect("serving run");
@@ -40,7 +39,6 @@ fn bench_serve(c: &mut Criterion) {
             let outcome = Cluster::builder()
                 .devices(DevicePool::v100(4))
                 .workload(Workload::scaled(iters, 64))
-                .mode(Mode::EventDriven)
                 .arrivals(ArrivalProcess::poisson(200_000, 7))
                 .queue_limit(Some(16))
                 .run()

@@ -122,64 +122,15 @@ impl FaultSpec {
     }
 }
 
-/// A device-lifecycle fault in a fleet plan, indexed by scheduler round
-/// (the cluster's virtual-time unit): a device can go down transiently,
-/// disappear permanently, or keep running with collapsed capacity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeviceFault {
-    /// The device is unreachable for `duration` rounds starting at
-    /// `at_round`, then returns. Any job on it when it drops must be
-    /// checkpointed and migrated — a down device's state is presumed lost.
-    Down {
-        /// First round the device is unreachable.
-        at_round: usize,
-        /// Rounds the outage lasts.
-        duration: usize,
-    },
-    /// The device disappears permanently at `at_round`.
-    Lost {
-        /// First round the device is gone.
-        at_round: usize,
-    },
-    /// The device stays up but its admission-usable capacity is multiplied
-    /// by `factor` for `duration` rounds (a co-located tenant grabbing
-    /// memory at the fleet level; the per-iteration analogue is
-    /// [`FaultSpec::capacity_shrink`]).
-    CapacityCollapse {
-        /// First round the collapse applies.
-        at_round: usize,
-        /// Rounds the collapse lasts.
-        duration: usize,
-        /// Capacity multiplier in `(0, 1]`.
-        factor: f64,
-    },
-}
-
-impl DeviceFault {
-    /// The round boundaries at which this fault changes a device's state
-    /// (start, and end where one exists).
-    fn boundaries(&self) -> (usize, Option<usize>) {
-        match *self {
-            DeviceFault::Down { at_round, duration } => {
-                (at_round, Some(at_round.saturating_add(duration)))
-            }
-            DeviceFault::Lost { at_round } => (at_round, None),
-            DeviceFault::CapacityCollapse {
-                at_round, duration, ..
-            } => (at_round, Some(at_round.saturating_add(duration))),
-        }
-    }
-}
-
-/// A device-lifecycle fault indexed by **virtual time** (nanoseconds on
-/// the cluster's event clock) rather than by BSP round — the form the
-/// event-driven serving mode consumes. Semantics mirror [`DeviceFault`]:
-/// a device can go down transiently, disappear permanently, or keep
-/// running with collapsed capacity.
+/// A device-lifecycle fault in a fleet plan, indexed by **virtual time**
+/// (nanoseconds on the cluster's event clock): a device can go down
+/// transiently, disappear permanently, or keep running with collapsed
+/// capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimedDeviceFault {
     /// The device is unreachable for `duration_ns` starting at `at_ns`,
-    /// then returns.
+    /// then returns. Any job on it when it drops must be checkpointed and
+    /// migrated — a down device's state is presumed lost.
     Down {
         /// First virtual nanosecond the device is unreachable.
         at_ns: u64,
@@ -192,7 +143,9 @@ pub enum TimedDeviceFault {
         at_ns: u64,
     },
     /// The device stays up but its admission-usable capacity is
-    /// multiplied by `factor` for `duration_ns` starting at `at_ns`.
+    /// multiplied by `factor` for `duration_ns` starting at `at_ns` (a
+    /// co-located tenant grabbing memory at the fleet level; the
+    /// per-iteration analogue is [`FaultSpec::capacity_shrink`]).
     CapacityCollapse {
         /// First virtual nanosecond the collapse applies.
         at_ns: u64,
@@ -219,8 +172,8 @@ impl TimedDeviceFault {
     }
 }
 
-/// A device's availability at one scheduler round, derived from the plan's
-/// [`DeviceFault`]s.
+/// A device's availability at one virtual instant, derived from the
+/// plan's [`TimedDeviceFault`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceCondition {
     /// Reachable; jobs may dispatch and step.
@@ -236,16 +189,15 @@ pub enum DeviceCondition {
 /// an independent per-device seed stream (so device 0's bad iterations are
 /// not device 3's bad iterations — faults decorrelate across the pool the
 /// way co-located interference does), plus explicit per-device lifecycle
-/// faults ([`DeviceFault`]) indexed by scheduler round.
+/// faults ([`TimedDeviceFault`]) on the cluster's virtual clock.
 ///
 /// Derivation is pure: `injector_for(d)` is a function of
-/// `(base_spec, d)` and `device_condition(d, round)` of the declared
+/// `(base_spec, d)` and `device_condition_at_ns(d, t)` of the declared
 /// fault list, so a cluster run is reproducible from the plan alone
-/// regardless of dispatch order or thread count.
+/// regardless of dispatch order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultPlan {
     base: FaultSpec,
-    device_faults: Vec<(usize, DeviceFault)>,
     timed_faults: Vec<(usize, TimedDeviceFault)>,
 }
 
@@ -255,7 +207,6 @@ impl FleetFaultPlan {
     pub fn new(base: FaultSpec) -> Self {
         FleetFaultPlan {
             base,
-            device_faults: Vec::new(),
             timed_faults: Vec::new(),
         }
     }
@@ -266,34 +217,19 @@ impl FleetFaultPlan {
         FleetFaultPlan::new(FaultSpec::none(seed))
     }
 
-    /// Add a lifecycle fault for one device. Multiple faults may target
-    /// the same device; `Lost` dominates overlapping `Down` windows.
-    #[must_use]
-    pub fn with_device_fault(mut self, device: usize, fault: DeviceFault) -> Self {
-        self.device_faults.push((device, fault));
-        self
-    }
-
     /// The base spec devices derive from.
     #[must_use]
     pub fn base(&self) -> &FaultSpec {
         &self.base
     }
 
-    /// Add a virtual-time lifecycle fault for one device — the
-    /// event-driven analogue of [`with_device_fault`](Self::with_device_fault).
-    /// Round-indexed faults drive BSP runs; timed faults drive
-    /// event-driven runs; a plan may carry both.
+    /// Add a virtual-time lifecycle fault for one device. Multiple faults
+    /// may target the same device; `Lost` dominates overlapping `Down`
+    /// windows.
     #[must_use]
     pub fn with_timed_fault(mut self, device: usize, fault: TimedDeviceFault) -> Self {
         self.timed_faults.push((device, fault));
         self
-    }
-
-    /// The declared device-lifecycle faults, in declaration order.
-    #[must_use]
-    pub fn device_faults(&self) -> &[(usize, DeviceFault)] {
-        &self.device_faults
     }
 
     /// The declared virtual-time lifecycle faults, in declaration order.
@@ -305,81 +241,12 @@ impl FleetFaultPlan {
     /// True when no device will see any fault.
     #[must_use]
     pub fn is_noop(&self) -> bool {
-        self.base.is_noop() && self.device_faults.is_empty() && self.timed_faults.is_empty()
-    }
-
-    /// The availability of `device` at scheduler round `round`. `Lost`
-    /// dominates `Down`; with no matching fault the device is `Up`.
-    #[must_use]
-    pub fn device_condition(&self, device: usize, round: usize) -> DeviceCondition {
-        let mut cond = DeviceCondition::Up;
-        for (d, fault) in &self.device_faults {
-            if *d != device {
-                continue;
-            }
-            match *fault {
-                DeviceFault::Lost { at_round } if round >= at_round => {
-                    return DeviceCondition::Lost;
-                }
-                DeviceFault::Down { at_round, duration }
-                    if round >= at_round && round < at_round.saturating_add(duration) =>
-                {
-                    cond = DeviceCondition::Down;
-                }
-                _ => {}
-            }
-        }
-        cond
-    }
-
-    /// True when `device` is permanently gone by round `round` (it can
-    /// never host a job again).
-    #[must_use]
-    pub fn is_lost(&self, device: usize, round: usize) -> bool {
-        self.device_condition(device, round) == DeviceCondition::Lost
-    }
-
-    /// The admission-capacity multiplier for `device` at `round`: the
-    /// product of every active [`DeviceFault::CapacityCollapse`] window.
-    #[must_use]
-    pub fn capacity_factor(&self, device: usize, round: usize) -> f64 {
-        let mut f = 1.0;
-        for (d, fault) in &self.device_faults {
-            if let DeviceFault::CapacityCollapse {
-                at_round,
-                duration,
-                factor,
-            } = *fault
-            {
-                if *d == device && round >= at_round && round < at_round.saturating_add(duration) {
-                    f *= factor;
-                }
-            }
-        }
-        f
-    }
-
-    /// The earliest round strictly after `round` at which any device's
-    /// lifecycle state changes (a fault starting or ending). `None` when
-    /// every declared boundary is behind `round` — the fleet's availability
-    /// is static from here on. Lets a scheduler with nothing runnable jump
-    /// its virtual round clock instead of spinning.
-    #[must_use]
-    pub fn next_transition_after(&self, round: usize) -> Option<usize> {
-        self.device_faults
-            .iter()
-            .flat_map(|(_, f)| {
-                let (start, end) = f.boundaries();
-                [Some(start), end].into_iter().flatten()
-            })
-            .filter(|&r| r > round)
-            .min()
+        self.base.is_noop() && self.timed_faults.is_empty()
     }
 
     /// The availability of `device` at virtual time `at_ns`, derived from
-    /// the plan's [`TimedDeviceFault`]s (round-indexed faults are ignored
-    /// here — they belong to the BSP clock). `Lost` dominates `Down`; with
-    /// no matching fault the device is `Up`.
+    /// the plan's [`TimedDeviceFault`]s. `Lost` dominates `Down`; with no
+    /// matching fault the device is `Up`.
     #[must_use]
     pub fn device_condition_at_ns(&self, device: usize, at_ns: u64) -> DeviceCondition {
         let mut cond = DeviceCondition::Up;
@@ -433,7 +300,7 @@ impl FleetFaultPlan {
     /// The earliest virtual time strictly after `at_ns` at which any
     /// device's timed lifecycle state changes. `None` when every declared
     /// boundary is behind `at_ns` — availability is static from here on.
-    /// The event-driven scheduler seeds its queue with these boundaries.
+    /// The fleet's event loop walks its transition events along these.
     #[must_use]
     pub fn next_transition_after_ns(&self, at_ns: u64) -> Option<u64> {
         self.timed_faults
@@ -478,31 +345,7 @@ impl FleetFaultPlan {
         let mut o = String::with_capacity(256);
         o.push_str("{\"base\":");
         o.push_str(&self.base.to_json());
-        o.push_str(",\"device_faults\":[");
-        for (i, (d, fault)) in self.device_faults.iter().enumerate() {
-            o.push_str(&format!("{{\"device\":{d},"));
-            match *fault {
-                DeviceFault::Down { at_round, duration } => o.push_str(&format!(
-                    "\"kind\":\"down\",\"at_round\":{at_round},\"duration\":{duration}"
-                )),
-                DeviceFault::Lost { at_round } => {
-                    o.push_str(&format!("\"kind\":\"lost\",\"at_round\":{at_round}"));
-                }
-                DeviceFault::CapacityCollapse {
-                    at_round,
-                    duration,
-                    factor,
-                } => o.push_str(&format!(
-                    "\"kind\":\"capacity-collapse\",\"at_round\":{at_round},\
-                     \"duration\":{duration},\"factor\":{factor:.4}"
-                )),
-            }
-            o.push('}');
-            if i + 1 < self.device_faults.len() {
-                o.push(',');
-            }
-        }
-        o.push_str("],\"timed_faults\":[");
+        o.push_str(",\"timed_faults\":[");
         for (i, (d, fault)) in self.timed_faults.iter().enumerate() {
             o.push_str(&format!("{{\"device\":{d},"));
             match *fault {
@@ -695,83 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn device_lifecycle_faults_derive_conditions() {
-        let plan = FleetFaultPlan::none(1)
-            .with_device_fault(
-                1,
-                DeviceFault::Down {
-                    at_round: 3,
-                    duration: 2,
-                },
-            )
-            .with_device_fault(2, DeviceFault::Lost { at_round: 5 })
-            .with_device_fault(
-                0,
-                DeviceFault::CapacityCollapse {
-                    at_round: 2,
-                    duration: 3,
-                    factor: 0.5,
-                },
-            );
-        assert!(!plan.is_noop());
-        // Base spec stays a no-op, so no per-iteration injector is built.
-        assert!(plan.injector_for(0).is_none());
-
-        // Down window: [3, 5).
-        assert_eq!(plan.device_condition(1, 2), DeviceCondition::Up);
-        assert_eq!(plan.device_condition(1, 3), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(1, 4), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(1, 5), DeviceCondition::Up);
-        // Lost is monotone.
-        assert_eq!(plan.device_condition(2, 4), DeviceCondition::Up);
-        assert!(plan.is_lost(2, 5));
-        assert!(plan.is_lost(2, 5000));
-        // Collapse affects capacity, not availability.
-        assert_eq!(plan.device_condition(0, 3), DeviceCondition::Up);
-        assert_eq!(plan.capacity_factor(0, 1), 1.0);
-        assert_eq!(plan.capacity_factor(0, 2), 0.5);
-        assert_eq!(plan.capacity_factor(0, 4), 0.5);
-        assert_eq!(plan.capacity_factor(0, 5), 1.0);
-        // Untouched device: always Up at nominal capacity.
-        assert_eq!(plan.device_condition(3, 100), DeviceCondition::Up);
-        assert_eq!(plan.capacity_factor(3, 100), 1.0);
-    }
-
-    #[test]
-    fn lost_dominates_overlapping_down() {
-        let plan = FleetFaultPlan::none(1)
-            .with_device_fault(
-                0,
-                DeviceFault::Down {
-                    at_round: 1,
-                    duration: 10,
-                },
-            )
-            .with_device_fault(0, DeviceFault::Lost { at_round: 4 });
-        assert_eq!(plan.device_condition(0, 2), DeviceCondition::Down);
-        assert_eq!(plan.device_condition(0, 4), DeviceCondition::Lost);
-        assert_eq!(plan.device_condition(0, 20), DeviceCondition::Lost);
-    }
-
-    #[test]
-    fn next_transition_walks_every_boundary() {
-        let plan = FleetFaultPlan::none(1)
-            .with_device_fault(
-                1,
-                DeviceFault::Down {
-                    at_round: 3,
-                    duration: 2,
-                },
-            )
-            .with_device_fault(2, DeviceFault::Lost { at_round: 8 });
-        assert_eq!(plan.next_transition_after(0), Some(3));
-        assert_eq!(plan.next_transition_after(3), Some(5));
-        assert_eq!(plan.next_transition_after(5), Some(8));
-        assert_eq!(plan.next_transition_after(8), None);
-        assert_eq!(FleetFaultPlan::none(0).next_transition_after(0), None);
-    }
-
-    #[test]
     fn timed_faults_resolve_conditions_on_the_virtual_clock() {
         let plan = FleetFaultPlan::none(0)
             .with_timed_fault(
@@ -791,67 +557,74 @@ mod tests {
                 },
             );
         assert!(!plan.is_noop());
+        // Base spec stays a no-op, so no per-iteration injector is built.
+        assert!(plan.injector_for(0).is_none());
+        // Down window: [1000, 1500).
         assert_eq!(plan.device_condition_at_ns(0, 999), DeviceCondition::Up);
         assert_eq!(plan.device_condition_at_ns(0, 1_000), DeviceCondition::Down);
         assert_eq!(plan.device_condition_at_ns(0, 1_499), DeviceCondition::Down);
         assert_eq!(plan.device_condition_at_ns(0, 1_500), DeviceCondition::Up);
+        // Lost is monotone.
         assert!(!plan.is_lost_at_ns(1, 1_999));
         assert!(plan.is_lost_at_ns(1, 2_000));
         assert!(plan.is_lost_at_ns(1, u64::MAX));
         // Capacity collapse leaves the device Up but halves usable bytes.
         assert_eq!(plan.device_condition_at_ns(2, 200), DeviceCondition::Up);
-        assert!((plan.capacity_factor_at_ns(2, 200) - 0.5).abs() < 1e-12);
+        assert!((plan.capacity_factor_at_ns(2, 99) - 1.0).abs() < 1e-12);
+        assert!((plan.capacity_factor_at_ns(2, 100) - 0.5).abs() < 1e-12);
+        assert!((plan.capacity_factor_at_ns(2, 399) - 0.5).abs() < 1e-12);
         assert!((plan.capacity_factor_at_ns(2, 400) - 1.0).abs() < 1e-12);
-        // Round-indexed queries never see timed faults and vice versa.
-        assert_eq!(plan.device_condition(0, 1_000), DeviceCondition::Up);
-        assert_eq!(plan.next_transition_after(0), None);
+        // Untouched device: always Up at nominal capacity.
+        assert_eq!(plan.device_condition_at_ns(3, 100), DeviceCondition::Up);
+        assert!((plan.capacity_factor_at_ns(3, 100) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn timed_transitions_enumerate_every_boundary() {
-        let plan = FleetFaultPlan::none(0)
+    fn lost_dominates_overlapping_down() {
+        let plan = FleetFaultPlan::none(1)
             .with_timed_fault(
                 0,
                 TimedDeviceFault::Down {
                     at_ns: 1_000,
-                    duration_ns: 500,
+                    duration_ns: 10_000,
                 },
             )
-            .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 2_000 });
-        assert_eq!(plan.next_transition_after_ns(0), Some(1_000));
-        assert_eq!(plan.next_transition_after_ns(1_000), Some(1_500));
-        assert_eq!(plan.next_transition_after_ns(1_500), Some(2_000));
-        assert_eq!(plan.next_transition_after_ns(2_000), None);
-        assert_eq!(FleetFaultPlan::none(0).next_transition_after_ns(0), None);
+            .with_timed_fault(0, TimedDeviceFault::Lost { at_ns: 4_000 });
+        assert_eq!(plan.device_condition_at_ns(0, 2_000), DeviceCondition::Down);
+        assert_eq!(plan.device_condition_at_ns(0, 4_000), DeviceCondition::Lost);
+        assert_eq!(
+            plan.device_condition_at_ns(0, 20_000),
+            DeviceCondition::Lost
+        );
     }
 
     #[test]
-    fn timed_faults_serialize_alongside_round_faults() {
-        let plan = FleetFaultPlan::none(3)
-            .with_device_fault(1, DeviceFault::Lost { at_round: 2 })
+    fn next_transition_walks_every_boundary() {
+        let plan = FleetFaultPlan::none(1)
             .with_timed_fault(
-                0,
+                1,
                 TimedDeviceFault::Down {
-                    at_ns: 1_000,
-                    duration_ns: 500,
+                    at_ns: 3_000,
+                    duration_ns: 2_000,
                 },
             )
+            .with_timed_fault(2, TimedDeviceFault::Lost { at_ns: 8_000 })
             .with_timed_fault(
-                2,
+                0,
                 TimedDeviceFault::CapacityCollapse {
-                    at_ns: 100,
-                    duration_ns: 300,
-                    factor: 0.25,
+                    at_ns: 6_000,
+                    duration_ns: 1_000,
+                    factor: 0.5,
                 },
             );
-        let a = plan.to_json();
-        assert_eq!(a, plan.to_json());
-        assert!(a.contains("\"timed_faults\":["));
-        assert!(a.contains("\"kind\":\"down\",\"at_ns\":1000,\"duration_ns\":500"));
-        assert!(a.contains("\"factor\":0.2500"));
-        assert!(FleetFaultPlan::none(0)
-            .to_json()
-            .contains("\"timed_faults\":[]"));
+        // Capacity-collapse windows are boundaries too.
+        assert_eq!(plan.next_transition_after_ns(0), Some(3_000));
+        assert_eq!(plan.next_transition_after_ns(3_000), Some(5_000));
+        assert_eq!(plan.next_transition_after_ns(5_000), Some(6_000));
+        assert_eq!(plan.next_transition_after_ns(6_000), Some(7_000));
+        assert_eq!(plan.next_transition_after_ns(7_000), Some(8_000));
+        assert_eq!(plan.next_transition_after_ns(8_000), None);
+        assert_eq!(FleetFaultPlan::none(0).next_transition_after_ns(0), None);
     }
 
     #[test]
@@ -860,25 +633,34 @@ mod tests {
             capacity_shrink: Some((4, 0.75)),
             ..FaultSpec::none(7)
         })
-        .with_device_fault(1, DeviceFault::Lost { at_round: 2 })
-        .with_device_fault(
+        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 2 })
+        .with_timed_fault(
             0,
-            DeviceFault::Down {
-                at_round: 1,
-                duration: 3,
+            TimedDeviceFault::Down {
+                at_ns: 1_000,
+                duration_ns: 500,
+            },
+        )
+        .with_timed_fault(
+            2,
+            TimedDeviceFault::CapacityCollapse {
+                at_ns: 100,
+                duration_ns: 300,
+                factor: 0.25,
             },
         );
         let a = plan.to_json();
         assert_eq!(a, plan.to_json());
         assert!(a.contains("\"seed\":7"));
         assert!(a.contains("\"capacity_shrink\":{\"at_iter\":4,\"factor\":0.7500}"));
-        assert!(a.contains("\"kind\":\"lost\",\"at_round\":2"));
-        assert!(a.contains("\"kind\":\"down\",\"at_round\":1,\"duration\":3"));
+        assert!(a.contains("\"kind\":\"lost\",\"at_ns\":2"));
+        assert!(a.contains("\"kind\":\"down\",\"at_ns\":1000,\"duration_ns\":500"));
+        assert!(a.contains("\"factor\":0.2500"));
         assert!(a.starts_with('{') && a.ends_with('}'));
         // The no-op plan serializes too (evidence of "no faults" is still
         // evidence).
         let none = FleetFaultPlan::none(0).to_json();
-        assert!(none.contains("\"device_faults\":[]"));
+        assert!(none.contains("\"timed_faults\":[]"));
     }
 
     #[test]

@@ -70,7 +70,9 @@ pub struct AdmissionStats {
     pub demoted: usize,
     /// (job, device) pairings rejected outright.
     pub rejected: usize,
-    /// Job-rounds spent waiting because no device was free or admissible.
+    /// Job-epochs spent waiting because no device was free or admissible:
+    /// the queued and displaced jobs left over after each event-loop
+    /// epoch's dispatch pass, summed over epochs.
     pub deferred_rounds: usize,
     /// Predictions scored against an executed peak.
     pub predictions: usize,

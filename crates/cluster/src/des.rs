@@ -1,13 +1,14 @@
-//! The discrete-event (serving-mode) fleet driver.
+//! The fleet driver: a discrete-event loop over virtual time.
 //!
-//! Where [`run_bsp`](crate::scheduler::run_bsp) advances a round clock in
-//! lockstep, `run_event` advances a virtual-nanosecond clock through a
+//! `run_event` advances a virtual-nanosecond clock through a
 //! seed-deterministic event queue: job **arrivals** (drawn from the
 //! spec's [`ArrivalProcess`](mimose_data::ArrivalProcess)), per-iteration
 //! **completions**, timed device **fault transitions** and displaced-job
-//! **backoff expiries**. Dispatch happens only at event boundaries, so
-//! queueing, SLO tails and overload behavior become visible — the serving
-//! world the BSP batch world cannot express.
+//! **backoff expiries**. Dispatch happens only at event boundaries, under
+//! the configured [`SchedulePolicy`](crate::SchedulePolicy). With every
+//! arrival at `t = 0` ([`ArrivalProcess::Immediate`](mimose_data::ArrivalProcess),
+//! the default) this is the batch world; with staggered arrivals,
+//! queueing, SLO tails and overload behavior become visible.
 //!
 //! # Determinism
 //!
@@ -15,30 +16,35 @@
 //! push-sequence)` order from a binary heap, every batch of same-instant
 //! events is processed before one triage + dispatch pass runs, and all
 //! randomness (arrival gaps, chaos injection) is seeded. Two runs of the
-//! same spec produce byte-identical reports, and the `threads` knob is
-//! documented as a no-op here, so thread-count independence is trivial.
+//! same spec produce byte-identical reports.
 //!
-//! # Fault semantics
+//! # Failure protocol
 //!
 //! Timed faults ([`TimedDeviceFault`](mimose_chaos::TimedDeviceFault))
-//! take effect at *transition events*, but a device that dies
-//! mid-iteration only surrenders its job at the iteration's **completion
-//! boundary** — the same place a real executor could first observe the
-//! loss and the only boundary a [`SessionCheckpoint`] can capture. The
-//! displaced job then follows the BSP protocol verbatim (checkpoint →
-//! requeue → exponential backoff in virtual nanoseconds → migrate through
-//! re-admission), with every step a timestamped
-//! [`FleetEvent`](crate::FleetEvent).
+//! take devices down, lose them or collapse their capacity at
+//! *transition events*, but a device that dies mid-iteration only
+//! surrenders its job at the iteration's **completion boundary** — the
+//! same place a real executor could first observe the loss and the only
+//! boundary a [`SessionCheckpoint`] can capture
+//! ([`Session::checkpoint`](mimose_exec::Session::checkpoint) keeps the
+//! warmed policy — plan cache, certificates, adaptive-estimator state —
+//! plus the data-stream cursor and accumulated summary). The displaced
+//! job is then **requeued** under exponential backoff in virtual
+//! nanoseconds and **migrated** to a surviving device through the same
+//! admission controller that gated its first dispatch (so migration can
+//! demote). When the degraded pool can never place a job (its
+//! all-checkpoint floor exceeds every surviving device) or its retry
+//! budget is exhausted, the job is **shed** or **failed** explicitly —
+//! lowest priority first — never silently dropped or starved. Every step
+//! is a timestamped, cost-attributed [`FleetEvent`](crate::FleetEvent).
 
 use crate::admission::AdmissionController;
-use crate::error::ClusterError;
 use crate::events::{
     FleetEvent, FleetEventKind, BACKOFF_BASE_NS, CHECKPOINT_COST_NS, RESTORE_COST_NS,
 };
 use crate::protocol::{self, DeviceAccum, RollupInputs};
 use crate::report::{FleetStats, JobOutcome, JobPlacement};
-use crate::scheduler::{ClusterOutcome, ClusterSpec, JobDetail};
-use crate::spec::validate;
+use crate::spec::{ClusterOutcome, ClusterSpec, JobDetail};
 use crate::AdmissionDecision;
 use mimose_chaos::DeviceCondition;
 use mimose_exec::{RecoveryConfig, Session, SessionCheckpoint};
@@ -156,18 +162,12 @@ fn advance(run: &mut Running, q: &mut EventQueue, t: u64, device: usize) {
     q.push(t.saturating_add(dt), Ev::Finish { device });
 }
 
-/// Run the whole spec to completion under the discrete-event clock. The
-/// same per-job failure philosophy as BSP applies: a run that starts
-/// always yields a report, with every job settled by an explicit outcome
-/// and a terminal event on the chain.
-///
-/// # Errors
-///
-/// [`ClusterError`] when the spec cannot start at all (empty device pool,
-/// zero-iteration job).
+/// Run a validated spec (see [`ClusterBuilder::build`](crate::ClusterBuilder::build))
+/// to completion under the discrete-event clock. A run that starts always
+/// yields a report, with every job settled by an explicit outcome and a
+/// terminal event on the chain.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterError> {
-    validate(spec)?;
+pub(crate) fn run_event(spec: &ClusterSpec) -> ClusterOutcome {
     let n_jobs = spec.jobs.len();
     let n_devs = spec.devices.len();
 
@@ -197,10 +197,10 @@ pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterErr
         ..FleetStats::default()
     };
 
-    // Submission runs the same pass as BSP, up front: profiles, floors,
-    // certificates. Jobs it settles (unprofilable, floor over every
-    // device) replay their terminal event when their arrival fires, so
-    // the chain still accounts for them at the right virtual instant.
+    // Submission runs up front: profiles, floors, certificates. Jobs it
+    // settles (unprofilable, floor over every device) replay their
+    // terminal event when their arrival fires, so the chain still accounts
+    // for them at the right virtual instant.
     let mut submitted = protocol::submit_jobs(spec, &mut ctl, &mut outcomes, &mut details);
 
     let arrival_ns = spec.arrivals.arrival_ns(n_jobs);
@@ -370,7 +370,7 @@ pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterErr
                         }
                         DeviceCondition::Down | DeviceCondition::Lost => {
                             // The device died under the job: displace at
-                            // this boundary, BSP-protocol-style.
+                            // this boundary.
                             if run.seg_iters > 0 || run.seg_ns > 0 {
                                 placements[j].push(JobPlacement {
                                     device: d,
@@ -512,8 +512,8 @@ pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterErr
         }
 
         // --- Triage: shed queued work the degraded pool can never place,
-        // lowest priority first — identical policy to BSP. Down devices
-        // still count (they come back); only lost ones don't. ---
+        // lowest priority first. Down devices still count (they come
+        // back); only lost ones don't. ---
         let alive_usable = (0..n_devs)
             .filter(|&d| spec.faults.device_condition_at_ns(d, t) != DeviceCondition::Lost)
             .map(|d| protocol::usable_bytes(&spec.devices[d], spec.headroom))
@@ -570,7 +570,9 @@ pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterErr
         }
 
         // --- Dispatch pass: idle, up devices pick work in index order.
-        // Displaced jobs outrank fresh arrivals, exactly as in BSP. ---
+        // Displaced jobs (highest priority, then requeue order) outrank
+        // fresh arrivals — they hold warmed checkpoints, and deferring new
+        // admissions is the fleet's backpressure under degradation. ---
         #[allow(clippy::needless_range_loop)] // devices[d] is re-borrowed mutably mid-body
         for d in 0..n_devs {
             if devices[d].running.is_some()
@@ -873,23 +875,161 @@ pub(crate) fn run_event(spec: &ClusterSpec) -> Result<ClusterOutcome, ClusterErr
             makespan_ns,
         },
     );
-    Ok(ClusterOutcome { report, details })
+    ClusterOutcome { report, details }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobPolicy, JobSpec};
     use crate::workload::{DevicePool, Workload};
-    use crate::{Cluster, Mode};
-    use mimose_chaos::{FleetFaultPlan, TimedDeviceFault};
-    use mimose_data::ArrivalProcess;
+    use crate::{Cluster, ClusterBuilder, SchedulePolicy};
+    use mimose_chaos::{FaultSpec, FleetFaultPlan, TimedDeviceFault};
+    use mimose_data::{presets, ArrivalProcess};
+    use mimose_models::builders::{bert_base, BertHead};
+    use mimose_planner::PolicyKind;
 
-    fn serve(arrivals: ArrivalProcess) -> crate::ClusterBuilder {
+    fn small(devices: usize) -> ClusterBuilder {
         Cluster::builder()
-            .devices(DevicePool::v100(2))
+            .devices(DevicePool::v100(devices))
             .workload(Workload::mixed(2))
-            .mode(Mode::EventDriven)
-            .arrivals(arrivals)
+    }
+
+    fn serve(arrivals: ArrivalProcess) -> ClusterBuilder {
+        small(2).arrivals(arrivals)
+    }
+
+    fn run(builder: ClusterBuilder) -> ClusterOutcome {
+        builder.run().expect("spec is well-formed")
+    }
+
+    #[test]
+    fn graph_pass_evidence_reaches_the_report() {
+        let outcome = run(small(2));
+        let mut strictly_lower = 0;
+        for job in &outcome.report.jobs {
+            let raw = job.graph_raw_peak_bytes.expect("raw peak recorded");
+            let opt = job.graph_opt_peak_bytes.expect("opt peak recorded");
+            assert!(
+                opt <= raw,
+                "{}: optimized predicted peak {opt} B above raw {raw} B",
+                job.name
+            );
+            if opt < raw {
+                strictly_lower += 1;
+            }
+        }
+        // Budget-capped policies (DTR) predict their budget either way;
+        // every planner-predicted job must show the pipeline's credit.
+        assert!(strictly_lower > 0, "no job's predicted peak moved");
+        let json = outcome.report.to_json();
+        assert!(json.contains("\"graph_raw_peak_bytes\":"));
+        assert!(json.contains("\"graph_opt_peak_bytes\":"));
+    }
+
+    #[test]
+    fn every_schedule_policy_completes_the_workload() {
+        for schedule in [
+            SchedulePolicy::Fifo,
+            SchedulePolicy::ShortestPredicted,
+            SchedulePolicy::BestFitMemory,
+        ] {
+            let outcome = run(small(2).schedule(schedule));
+            assert_eq!(outcome.report.schedule, schedule.name());
+            assert_eq!(outcome.report.mode, "event-driven");
+            for job in &outcome.report.jobs {
+                assert_eq!(
+                    job.outcome,
+                    JobOutcome::Completed,
+                    "{} under {}",
+                    job.name,
+                    schedule.name()
+                );
+            }
+            assert!(outcome.report.makespan_ns > 0);
+            assert!(outcome.report.utilization_pct > 0.0);
+            // A clean run's chain is arrivals, dispatches and completions.
+            for e in &outcome.report.events {
+                assert!(
+                    ["arrive", "dispatch", "complete"].contains(&e.kind.tag()),
+                    "{:?}",
+                    e.kind
+                );
+            }
+            assert_eq!(outcome.report.fleet.migrations, 0);
+        }
+    }
+
+    #[test]
+    fn slo_rollup_is_folded_for_immediate_arrivals() {
+        let outcome = run(small(2));
+        let slo = &outcome.report.slo;
+        assert!(slo.iter_latency_p50_ns > 0);
+        assert!(slo.iter_latency_p50_ns <= slo.iter_latency_p99_ns);
+        assert!(slo.queue_wait_p50_ns <= slo.queue_wait_p99_ns);
+        assert_eq!(slo.goodput_iters, 8 * 2);
+        assert!(slo.goodput_iters_per_s > 0.0);
+        assert_eq!(slo.rejected_jobs, 0);
+        let json = outcome.report.to_json();
+        assert!(json.contains("\"slo\":{\"queue_wait_p50_ns\":"));
+    }
+
+    #[test]
+    fn verified_admits_reach_the_fleet_report() {
+        let outcome = run(small(2));
+        let adm = &outcome.report.admission;
+        assert!(adm.verified_admits <= adm.admitted);
+        let json = outcome.report.to_json();
+        assert!(json.contains(&format!("\"verified_admits\":{}", adm.verified_admits)));
+    }
+
+    #[test]
+    fn impossible_job_is_rejected_not_hung() {
+        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let job = JobSpec::new(
+            "too-big",
+            model,
+            presets::glue_qqp(),
+            JobPolicy::Planner(PolicyKind::Sublinear, 1 << 20),
+            2,
+            1,
+        );
+        let mut tiny = mimose_simgpu::DeviceProfile::v100();
+        tiny.total_mem_bytes = 1 << 20; // 1 MiB: below any BERT floor
+        let outcome = run(Cluster::builder()
+            .devices(DevicePool::custom(vec![tiny]))
+            .workload(Workload::custom(vec![job])));
+        assert_eq!(outcome.report.jobs[0].outcome, JobOutcome::Rejected);
+        assert_eq!(outcome.report.jobs[0].device, None);
+        assert_eq!(outcome.report.admission.rejected, 1);
+        assert_eq!(outcome.report.makespan_ns, 0);
+        // The rejection explains itself.
+        let reason = outcome.report.jobs[0].admission_reason.as_ref().unwrap();
+        assert!(reason.contains("all-checkpoint floor"), "{reason}");
+    }
+
+    #[test]
+    fn more_devices_never_lengthen_the_makespan() {
+        let one = run(small(1)).report.makespan_ns;
+        let two = run(small(2)).report.makespan_ns;
+        assert!(two <= one, "two devices {two} > one device {one}");
+    }
+
+    #[test]
+    fn fleet_faults_replay_byte_identically() {
+        let faults = FleetFaultPlan::new(FaultSpec {
+            alloc_failure_rate: 0.3,
+            ..FaultSpec::none(99)
+        });
+        let mk = || small(2).faults(faults.clone()).record(true);
+        let a = run(mk());
+        let b = run(mk());
+        assert_eq!(a.report.to_json(), b.report.to_json());
+        // Recording captured event streams for every executed iteration.
+        for (da, db) in a.details.iter().zip(&b.details) {
+            assert_eq!(da.records.len(), da.reports.len());
+            assert_eq!(format!("{:?}", da.reports), format!("{:?}", db.reports));
+        }
     }
 
     #[test]
@@ -960,14 +1100,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_on_arrival_under_overload() {
-        let outcome = Cluster::builder()
-            .devices(DevicePool::v100(1))
-            .workload(Workload::mixed(2))
-            .mode(Mode::EventDriven)
-            .arrivals(ArrivalProcess::Immediate)
-            .queue_limit(Some(2))
-            .run()
-            .expect("runs");
+        let outcome = run(small(1).queue_limit(Some(2)));
         let r = &outcome.report;
         assert!(r.fleet.shed_jobs > 0, "no sheds under a full queue");
         assert!(r.slo.shed_rate_pct > 0.0);
@@ -993,75 +1126,180 @@ mod tests {
     }
 
     #[test]
-    fn timed_device_loss_migrates_at_the_iteration_boundary() {
-        // Device 1 of 2 is lost early; its in-flight job must checkpoint
-        // at its boundary, back off in virtual ns, and migrate to device 0.
-        let faults = FleetFaultPlan::none(0)
-            .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 1_000_000 });
-        let outcome = Cluster::builder()
-            .devices(DevicePool::v100(2))
-            .workload(Workload::mixed(3))
-            .mode(Mode::EventDriven)
-            .faults(faults)
-            .run()
-            .expect("runs");
+    fn lost_device_migrates_its_job_and_the_fleet_finishes() {
+        // 4 devices, 8 jobs, 4 iterations each; device 1 dies permanently
+        // mid-flight. Everything must still finish (the displaced job via
+        // migration), with the full event chain, and replay identically.
+        let mk = || {
+            let faults = FleetFaultPlan::none(0).with_timed_fault(
+                1,
+                TimedDeviceFault::Lost {
+                    at_ns: 1_618_617_222,
+                },
+            );
+            Cluster::builder()
+                .devices(DevicePool::v100(4))
+                .workload(Workload::mixed(4))
+                .faults(faults)
+                .record(true)
+        };
+        let outcome = run(mk());
         let r = &outcome.report;
-        assert_eq!(r.fleet.devices_lost, 1);
-        assert!(r.devices[1].lost);
-        assert!(r.fleet.migrations >= 1);
-        assert_eq!(r.fleet.checkpoints, r.fleet.migrations);
+        assert_eq!(r.to_json(), run(mk()).report.to_json());
         assert!(
             r.jobs.iter().all(|j| j.outcome.finished()),
             "{:?}",
             r.jobs
                 .iter()
-                .map(|j| (&j.name, &j.outcome))
+                .map(|j| (j.name.clone(), j.outcome.clone()))
                 .collect::<Vec<_>>()
         );
-        let kinds: Vec<_> = r.events.iter().map(|e| e.kind.tag()).collect();
-        for k in ["device-down", "checkpoint", "requeue", "backoff", "migrate"] {
-            assert!(kinds.contains(&k), "missing {k} in {kinds:?}");
-        }
-        // Migrated jobs carry their overhead attribution, as in BSP.
-        for j in r.jobs.iter().filter(|j| j.migrations > 0) {
+        assert_eq!(r.fleet.devices_lost, 1);
+        assert!(r.fleet.migrations >= 1);
+        assert_eq!(r.fleet.checkpoints, r.fleet.migrations);
+        assert_eq!(r.fleet.shed_jobs, 0);
+        assert!(r.devices[1].lost);
+        // The migrated job's evidence: two placements, full iteration
+        // count, chained events, attributed overhead.
+        let moved: Vec<_> = r.jobs.iter().filter(|j| j.migrations > 0).collect();
+        assert!(!moved.is_empty());
+        for j in moved {
+            assert_eq!(j.outcome, JobOutcome::Migrated);
+            assert_eq!(j.iters, 4);
+            assert!(j.placements.len() >= 2);
+            assert_eq!(j.placements.iter().map(|p| p.iters).sum::<usize>(), 4);
             assert_eq!(
                 j.fleet_overhead_ns,
                 (CHECKPOINT_COST_NS + RESTORE_COST_NS) * j.migrations as u64
             );
+            assert!(j.retries >= 1);
+        }
+        let kinds: Vec<_> = r.events.iter().map(|e| e.kind.tag()).collect();
+        for k in ["device-down", "checkpoint", "requeue", "backoff", "migrate"] {
+            assert!(kinds.contains(&k), "missing {k} in {kinds:?}");
         }
     }
 
     #[test]
-    fn transient_timed_outage_returns_the_device() {
+    fn transient_outage_displaces_and_returns_the_device() {
+        // Device 0 of 2 goes down across its first job's first iteration
+        // boundary: the job is displaced, and the device serves again once
+        // the outage ends.
         let faults = FleetFaultPlan::none(0).with_timed_fault(
             0,
             TimedDeviceFault::Down {
-                at_ns: 500_000,
-                duration_ns: 2_000_000,
+                at_ns: 100_000_000,
+                duration_ns: 1_000_000_000,
             },
         );
-        let outcome = Cluster::builder()
+        let outcome = run(Cluster::builder()
             .devices(DevicePool::v100(2))
             .workload(Workload::mixed(3))
-            .mode(Mode::EventDriven)
-            .faults(faults)
-            .run()
-            .expect("runs");
+            .faults(faults));
         let r = &outcome.report;
+        assert!(r.jobs.iter().all(|j| j.outcome.finished()));
         assert_eq!(r.fleet.devices_lost, 0);
+        assert!(r.fleet.migrations >= 1);
         assert!(!r.devices[0].lost);
         let kinds: Vec<_> = r.events.iter().map(|e| e.kind.tag()).collect();
         assert!(kinds.contains(&"device-down"));
         assert!(kinds.contains(&"device-up"));
-        // The down event names the return instant in virtual ns.
-        let down = r.events.iter().find_map(|e| match e.kind {
+        // The down event knows when the device returns.
+        let down = r.events.iter().find_map(|e| match &e.kind {
             FleetEventKind::DeviceDown {
                 device: 0,
                 until_round,
-            } => Some(until_round),
+            } => Some(*until_round),
             _ => None,
         });
-        assert_eq!(down, Some(Some(2_500_000)));
-        assert!(r.jobs.iter().all(|j| j.outcome.finished()));
+        assert_eq!(down, Some(Some(1_100_000_000)));
+        // Device 0 ran iterations after returning (it served again).
+        let up_at = r
+            .events
+            .iter()
+            .find(|e| e.kind.tag() == "device-up")
+            .map(|e| e.at_ns)
+            .expect("device returns");
+        assert!(r
+            .events
+            .iter()
+            .any(|e| e.at_ns >= up_at
+                && matches!(e.kind, FleetEventKind::Complete { device: 0, .. })));
+    }
+
+    #[test]
+    fn losing_every_device_sheds_the_backlog_explicitly() {
+        let faults = FleetFaultPlan::none(0)
+            .with_timed_fault(0, TimedDeviceFault::Lost { at_ns: 100_000_000 })
+            .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 100_000_000 });
+        let spec = Cluster::builder()
+            .devices(DevicePool::v100(2))
+            .workload(Workload::mixed(4))
+            .faults(faults)
+            .build()
+            .expect("valid spec");
+        let outcome = run_event(&spec);
+        let r = &outcome.report;
+        // No hangs, no silent drops: every job has an explicit outcome.
+        for j in &r.jobs {
+            assert!(
+                matches!(j.outcome, JobOutcome::Shed(_)) || j.outcome.finished(),
+                "{}: {:?}",
+                j.name,
+                j.outcome
+            );
+        }
+        assert!(r.fleet.shed_jobs > 0);
+        assert_eq!(r.fleet.devices_lost, 2);
+        // Within an epoch, shedding drops the lowest-priority jobs first.
+        let shed_events: Vec<(usize, usize)> = r
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                FleetEventKind::Shed { job, .. } => Some((e.round, *job)),
+                _ => None,
+            })
+            .collect();
+        assert!(shed_events.len() > 1);
+        for w in shed_events.windows(2) {
+            let ((ra, a), (rb, b)) = (w[0], w[1]);
+            if ra == rb {
+                assert!(
+                    (spec.jobs[a].priority, a) <= (spec.jobs[b].priority, b),
+                    "shed order not lowest-priority-first: {a} before {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn retry_budget_bounds_repeated_displacement() {
+        // One device that flaps down across successive iteration
+        // boundaries forces repeated displacement of the same job; with a
+        // 1-retry budget the job must fail explicitly, not loop forever.
+        let flap = |at_ns| TimedDeviceFault::Down {
+            at_ns,
+            duration_ns: 1_000_000_000,
+        };
+        let faults = FleetFaultPlan::none(0)
+            .with_timed_fault(0, flap(100_000_000))
+            .with_timed_fault(0, flap(1_200_000_000))
+            .with_timed_fault(0, flap(2_500_000_000));
+        let jobs = vec![Workload::mixed(8).into_jobs().remove(0)];
+        let outcome = run(Cluster::builder()
+            .devices(DevicePool::v100(1))
+            .workload(Workload::custom(jobs))
+            .faults(faults)
+            .max_retries(1));
+        let job = &outcome.report.jobs[0];
+        assert!(
+            job.retries <= 2,
+            "retries {} exceeded budget+1",
+            job.retries
+        );
+        match &job.outcome {
+            JobOutcome::Failed(reason) => assert!(reason.contains("retry budget"), "{reason}"),
+            other => panic!("flapping device should exhaust the budget: {other:?}"),
+        }
     }
 }

@@ -2,16 +2,15 @@
 //! append-only, cost-attributed chain on the [`ClusterReport`]
 //! (`crate::ClusterReport`) — device down/up transitions, job checkpoints,
 //! requeues with exponential backoff, migrations and load shedding, plus
-//! (in event-driven mode) every arrival, dispatch, completion and
-//! rejection. The audit layer re-derives every fleet rollup counter and
+//! every arrival, dispatch, completion and rejection. The audit layer re-derives every fleet rollup counter and
 //! every SLO tail percentile from this chain, so a lost device's jobs can
 //! never be dropped silently and a quoted p99 can never drift from the
 //! events behind it.
 //!
-//! Every event carries two clocks: `round` (the BSP round or event-loop
-//! epoch it was observed in) and `at_ns` (the fleet's virtual time at
-//! emission — the furthest any device has run in BSP mode, the event-queue
-//! time in event-driven mode). Both are nondecreasing in chain order.
+//! Every event carries two clocks: `round` (the event-loop epoch — the
+//! index of the same-instant event batch — it was observed in) and `at_ns`
+//! (the event-queue's virtual time at emission). Both are nondecreasing in
+//! chain order.
 
 /// Modeled virtual cost of checkpointing an in-flight job at an iteration
 /// boundary (serializing the policy/estimator state and stream cursor).
@@ -19,26 +18,19 @@ pub const CHECKPOINT_COST_NS: u64 = 25_000;
 /// Modeled virtual cost of restoring a checkpoint on the migration target
 /// (rebuilding the session and fast-forwarding the batch stream).
 pub const RESTORE_COST_NS: u64 = 40_000;
-/// Base of the exponential requeue backoff in BSP mode: a job displaced
-/// for the `n`-th time waits `BACKOFF_BASE_ROUNDS << (n - 1)` rounds
-/// before it is eligible for re-admission.
-pub const BACKOFF_BASE_ROUNDS: usize = 1;
-/// Base of the exponential requeue backoff in event-driven mode: a job
-/// displaced for the `n`-th time waits `BACKOFF_BASE_NS << (n - 1)`
+/// Base of the exponential requeue backoff: a job displaced for the `n`-th time waits `BACKOFF_BASE_NS << (n - 1)`
 /// virtual nanoseconds before it is eligible for re-admission.
 pub const BACKOFF_BASE_NS: u64 = 1_000_000;
 
 /// What happened, fleet-wise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetEventKind {
-    /// A job entered the fleet (event-driven mode only; in BSP mode every
-    /// job is present at round 0 and no arrival is recorded).
+    /// A job entered the fleet.
     Arrive {
         /// Job submission index.
         job: usize,
     },
-    /// A fresh job was admitted and started on a device (event-driven
-    /// mode only; BSP dispatches are recorded on the job's detail row).
+    /// A fresh job was admitted and started on a device.
     Dispatch {
         /// Job submission index.
         job: usize,
@@ -47,8 +39,7 @@ pub enum FleetEventKind {
         /// Global dispatch sequence number.
         seq: usize,
     },
-    /// A job executed its last requested iteration (event-driven mode
-    /// only).
+    /// A job executed its last requested iteration.
     Complete {
         /// Job submission index.
         job: usize,
@@ -56,21 +47,21 @@ pub enum FleetEventKind {
         device: usize,
     },
     /// A job's submission-time rejection, replayed on its arrival so the
-    /// event chain settles every job (event-driven mode only).
+    /// event chain settles every job.
     Reject {
         /// Job submission index.
         job: usize,
         /// Why admission rejected the job.
         reason: String,
     },
-    /// A device became unreachable. `until_round` is the BSP round (or,
-    /// in event-driven mode, the virtual nanosecond) it returns
-    /// (`None` = permanently lost).
+    /// A device became unreachable. Despite its name, `until_round` is
+    /// the virtual nanosecond it returns (`None` = permanently lost); the
+    /// name is kept so the report's JSON keys stay stable.
     DeviceDown {
         /// Device index.
         device: usize,
-        /// First round (BSP) or virtual nanosecond (event-driven) the
-        /// device is back up; `None` for permanent loss.
+        /// First virtual nanosecond the device is back up; `None` for
+        /// permanent loss.
         until_round: Option<usize>,
     },
     /// A transiently-down device returned to service.
@@ -99,8 +90,8 @@ pub enum FleetEventKind {
     Backoff {
         /// Job submission index.
         job: usize,
-        /// First round (BSP) or virtual nanosecond (event-driven) the job
-        /// is eligible for re-admission.
+        /// First virtual nanosecond the job is eligible for re-admission
+        /// (named `until_round` for JSON-key stability).
         until_round: usize,
     },
     /// A checkpointed job was re-admitted and resumed on a surviving
@@ -117,8 +108,8 @@ pub enum FleetEventKind {
         /// Global dispatch sequence number of the migration dispatch.
         seq: usize,
     },
-    /// A job was shed: the degraded fleet can never place it (or, in
-    /// event-driven mode, its bounded queue was full on arrival), so it
+    /// A job was shed: the degraded fleet can never place it (or its
+    /// bounded queue was full on arrival), so it
     /// is dropped explicitly rather than starved.
     Shed {
         /// Job submission index.
@@ -178,8 +169,8 @@ impl FleetEventKind {
 /// One entry of the fleet-event chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetEvent {
-    /// Scheduler round (BSP) or event-loop epoch (event-driven) the event
-    /// was observed in.
+    /// Event-loop epoch (the index of the same-instant event batch) the
+    /// event was observed in. Not a clock: `at_ns` is.
     pub round: usize,
     /// Fleet virtual time at emission, nanoseconds (see module docs).
     pub at_ns: u64,

@@ -11,15 +11,15 @@
 //!   policy's predicted peak for the job's next iteration against the
 //!   device's headroom-discounted capacity, demoting (arming the recovery
 //!   ladder) or rejecting via the analytic all-checkpoint floor.
-//! - **Scheduling** comes in two modes behind one front door,
-//!   [`Cluster::builder`]: **BSP rounds** ([`Mode::Bsp`]) — one iteration
-//!   per busy device per round, real scoped threads, merge in
-//!   device-index order — and a **discrete-event loop**
-//!   ([`Mode::EventDriven`]) where an [`ArrivalProcess`] feeds jobs into
-//!   a virtual-time queue and dispatch happens at event boundaries.
-//!   Either way a [`ClusterReport`] is byte-identical run-to-run and
-//!   across thread counts, and a 1-job/1-device BSP cluster degenerates
-//!   exactly to [`mimose_exec::Session::run`].
+//! - **Scheduling** happens in one driver behind one front door,
+//!   [`Cluster::builder`]: a **discrete-event loop** where an
+//!   [`ArrivalProcess`] feeds jobs into a virtual-time queue, and
+//!   dispatch, completion, device faults and backoff expiries happen at
+//!   event boundaries. The default arrival process,
+//!   [`ArrivalProcess::Immediate`], is the batch world (every job present
+//!   at `t = 0`). A [`ClusterReport`] is byte-identical run-to-run, and a
+//!   1-job/1-device cluster degenerates exactly to
+//!   [`mimose_exec::Session::run`].
 //! - **Reporting** ([`ClusterReport`]) folds per-device
 //!   [`RunSummary`](mimose_runtime::RunSummary)-compatible rollups into
 //!   makespan, utilization, queue latency, OOM/recovery counts, admission
@@ -42,16 +42,15 @@
 //! # }
 //! ```
 //!
-//! Serving mode, with arrivals and a bounded queue:
+//! Serving, with Poisson arrivals and a bounded queue:
 //!
 //! ```
-//! use mimose_cluster::{ArrivalProcess, Cluster, ClusterError, DevicePool, Mode, Workload};
+//! use mimose_cluster::{ArrivalProcess, Cluster, ClusterError, DevicePool, Workload};
 //!
 //! # fn main() -> Result<(), ClusterError> {
 //! let outcome = Cluster::builder()
 //!     .devices(DevicePool::v100(2))
 //!     .workload(Workload::mixed(2))
-//!     .mode(Mode::EventDriven)
 //!     .arrivals(ArrivalProcess::poisson(500_000, 42))
 //!     .queue_limit(Some(16))
 //!     .run()?;
@@ -70,26 +69,25 @@ mod events;
 mod job;
 mod protocol;
 mod report;
-mod scheduler;
 mod spec;
 mod workload;
 
 pub use admission::{AdmissionController, AdmissionDecision, AdmissionStats};
 pub use error::ClusterError;
 pub use events::{
-    FleetEvent, FleetEventKind, BACKOFF_BASE_NS, BACKOFF_BASE_ROUNDS, CHECKPOINT_COST_NS,
-    RESTORE_COST_NS,
+    FleetEvent, FleetEventKind, BACKOFF_BASE_NS, CHECKPOINT_COST_NS, RESTORE_COST_NS,
 };
 pub use job::{
     DeterministicMimose, JobPolicy, JobSpec, MIMOSE_CACHE_HIT_COST_NS, MIMOSE_PLAN_COST_NS,
     MIMOSE_REPAIR_COST_NS,
 };
-/// Re-exported from `mimose-data`: the arrival processes the event-driven
-/// mode draws job submission times from.
+/// Re-exported from `mimose-data`: the arrival processes the fleet draws
+/// job submission times from.
 pub use mimose_data::ArrivalProcess;
 pub use report::{
     ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
 };
-pub use scheduler::{run_bsp, run_cluster, ClusterOutcome, ClusterSpec, JobDetail, SchedulePolicy};
-pub use spec::{Cluster, ClusterBuilder, Mode};
-pub use workload::{mixed_workload, v100_pool, DevicePool, Workload};
+pub use spec::{
+    Cluster, ClusterBuilder, ClusterOutcome, ClusterSpec, JobDetail, Mode, SchedulePolicy,
+};
+pub use workload::{DevicePool, Workload};

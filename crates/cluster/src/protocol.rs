@@ -1,18 +1,16 @@
-//! Mode-shared scheduling protocol: the parts of fleet scheduling that do
-//! not depend on how virtual time advances. Both drivers — the BSP round
-//! scheduler ([`run_bsp`](crate::scheduler::run_bsp)) and the discrete-
-//! event loop ([`run_event`](crate::des::run_event)) — submit jobs through
-//! the same profiling/certification pass, pick pending work with the same
-//! [`SchedulePolicy`] comparators, and fold their final state through the
-//! same report rollup, so a BSP run and its event-driven degenerate twin
-//! differ only in *when* decisions happen, never in *how*.
+//! Scheduling protocol: the parts of fleet scheduling that do not depend
+//! on how virtual time advances — the submission-time
+//! profiling/certification pass, the [`SchedulePolicy`] comparators that
+//! pick pending work, and the report rollup — kept apart from the event
+//! loop in [`crate::des`] so the driver reads as *when* decisions happen
+//! and this module as *how*.
 
 use crate::admission::AdmissionController;
 use crate::job::JobSpec;
 use crate::report::{
     ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
 };
-use crate::scheduler::{ClusterSpec, JobDetail, SchedulePolicy};
+use crate::spec::{ClusterSpec, JobDetail, SchedulePolicy};
 use mimose_models::{ModelProfile, PassReport};
 use mimose_planner::memory_model::min_feasible_budget;
 use mimose_planner::{CheckpointPlan, MemoryPolicy};
@@ -75,7 +73,7 @@ fn graph_evidence(
     ))
 }
 
-/// Submission pass, shared verbatim by both drivers: profile each job,
+/// Submission pass: profile each job,
 /// build its policy (static planners solve once against the worst case,
 /// costed on device 0), and settle jobs no device can ever hold. Jobs that
 /// settle here get their outcome written directly; everyone else gets a
@@ -178,8 +176,8 @@ pub(crate) fn effective_device(spec: &ClusterSpec, d: usize, cap_factor: f64) ->
 /// Pick a fresh pending job for an idle device under the dispatch policy.
 /// Returns the *position* in `pending`. Admissibility is the all-
 /// checkpoint floor against the device's usable capacity; comparator ties
-/// resolve by queue position exactly as the original BSP scheduler did
-/// (first for FIFO/shortest, last for best-fit).
+/// resolve by queue position (first for FIFO/shortest, last for
+/// best-fit).
 pub(crate) fn pick_pending(
     schedule: SchedulePolicy,
     pending: &[usize],
@@ -230,9 +228,8 @@ pub(crate) struct DeviceAccum {
     pub iters: usize,
 }
 
-/// Everything a driver accumulated, ready to fold into a
-/// [`ClusterReport`]. One struct so the two drivers cannot drift on which
-/// pieces feed the rollup.
+/// Everything the driver accumulated, ready to fold into a
+/// [`ClusterReport`].
 pub(crate) struct RollupInputs {
     pub outcomes: Vec<Option<JobOutcome>>,
     pub queue_waits: Vec<Option<u64>>,
@@ -241,10 +238,10 @@ pub(crate) struct RollupInputs {
     pub migrations: Vec<usize>,
     pub retries: Vec<usize>,
     pub overhead: Vec<u64>,
-    /// Virtual arrival instant per job (all zero in BSP mode).
+    /// Virtual arrival instant per job.
     pub arrival_ns: Vec<u64>,
-    /// Virtual completion instant per job (`None` in BSP mode, and for
-    /// jobs that never finished).
+    /// Virtual completion instant per job (`None` for jobs that never
+    /// finished).
     pub finish_ns: Vec<Option<u64>>,
     pub events: Vec<crate::events::FleetEvent>,
     pub fleet: FleetStats,
@@ -345,7 +342,7 @@ pub(crate) fn finish_report(
     let slo = SloRollup::fold(&jobs, &iter_latencies, makespan_ns);
     ClusterReport {
         schedule: spec.schedule.name().to_string(),
-        mode: spec.mode.name().to_string(),
+        mode: "event-driven".to_string(),
         arrivals: spec.arrivals.clone(),
         rounds,
         makespan_ns,

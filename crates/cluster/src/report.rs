@@ -99,8 +99,8 @@ fn percentile(xs: &[u64], p: f64) -> u64 {
 }
 
 /// Service-level rollup: queue-wait and iteration-latency tail
-/// percentiles, goodput, and rejection/shed rates. Folded identically in
-/// both modes from the per-job rows, and re-derived independently by the
+/// percentiles, goodput, and rejection/shed rates. Folded from the per-job
+/// rows, and re-derived independently by the
 /// audit layer from the same rows — a quoted tail can never drift from
 /// the evidence behind it.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -212,12 +212,12 @@ pub struct JobReport {
     pub demoted: bool,
     /// Iterations executed.
     pub iters: usize,
-    /// Virtual instant the job entered the fleet (always 0 in BSP mode).
+    /// Virtual instant the job entered the fleet.
     pub arrival_ns: u64,
     /// Time spent queued: dispatch instant minus arrival instant.
     pub queue_wait_ns: u64,
-    /// Virtual instant the job's last iteration completed (`None` in BSP
-    /// mode, and for jobs that never finished).
+    /// Virtual instant the job's last iteration completed (`None` for
+    /// jobs that never finished).
     pub finish_ns: Option<u64>,
     /// Summed iteration time.
     pub total_ns: u64,
@@ -281,15 +281,17 @@ pub struct DeviceReport {
 pub struct ClusterReport {
     /// Dispatch policy name.
     pub schedule: String,
-    /// Execution mode name ("bsp" or "event-driven").
+    /// Execution mode name (always "event-driven": the fleet has one
+    /// driver; the field keeps the JSON self-describing).
     pub mode: String,
     /// The arrival process the run executed under, embedded so the
-    /// report is self-describing (always `Immediate` in BSP mode).
+    /// report is self-describing.
     pub arrivals: ArrivalProcess,
-    /// BSP rounds (or event-loop epochs) executed.
+    /// Event-loop epochs executed (same-instant event batches; named
+    /// `rounds` for JSON-key stability).
     pub rounds: usize,
-    /// Virtual time at which the last device went idle (BSP: max device
-    /// busy time; event-driven: the last fleet event's timestamp).
+    /// Virtual time of the last fleet event — when the fleet last did
+    /// anything.
     pub makespan_ns: u64,
     /// Summed busy time across devices.
     pub busy_ns: u64,
@@ -315,8 +317,8 @@ pub struct ClusterReport {
     /// The fault plan the run executed under, embedded so a gated chaos
     /// run's evidence is self-describing.
     pub fault_plan: FleetFaultPlan,
-    /// The typed fleet-event chain, in observation order (empty on a
-    /// clean BSP run; never empty in event-driven mode).
+    /// The typed fleet-event chain, in observation order (never empty:
+    /// every job at least arrives).
     pub events: Vec<FleetEvent>,
     /// Per-device rollups, in index order.
     pub devices: Vec<DeviceReport>,

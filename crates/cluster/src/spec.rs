@@ -1,9 +1,10 @@
 //! The cluster front door: [`Cluster::builder()`] mirrors
 //! [`Session::builder`](mimose_exec::Session::builder) one level up —
-//! devices, workload, arrival process and execution mode are chained onto
-//! a [`ClusterBuilder`], and `.run()` returns
-//! `Result<ClusterOutcome, ClusterError>` instead of panicking on a
-//! malformed spec.
+//! devices, workload, arrival process and fault plan are chained onto a
+//! [`ClusterBuilder`], which compiles into a [`ClusterSpec`] (the run as
+//! plain data), and `.run()` drives that spec through the discrete-event
+//! fleet loop, returning `Result<ClusterOutcome, ClusterError>` instead of
+//! panicking on a malformed spec.
 //!
 //! ```
 //! use mimose_cluster::{Cluster, ClusterError, DevicePool, Workload};
@@ -20,35 +21,48 @@
 
 use crate::des::run_event;
 use crate::error::ClusterError;
-use crate::scheduler::{run_bsp, ClusterOutcome, ClusterSpec, SchedulePolicy};
+use crate::job::JobSpec;
+use crate::report::ClusterReport;
 use crate::workload::{DevicePool, Workload};
 use mimose_chaos::FleetFaultPlan;
 use mimose_data::ArrivalProcess;
+use mimose_exec::IterationRecord;
+use mimose_planner::PlanTierStats;
+use mimose_runtime::{IterationReport, RunSummary};
+use mimose_simgpu::DeviceProfile;
 
-/// How the fleet advances virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the fleet advances virtual time. There is one driver — the
+/// discrete-event loop — so this has one variant; it survives so callers
+/// that name the mode explicitly keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// BSP rounds: every job is present at `t = 0`, each round every busy
-    /// device runs exactly one iteration, a barrier joins them. The batch
-    /// world — maximally parallel, arrival-blind.
-    #[default]
-    Bsp,
     /// Discrete-event simulation: a virtual-time event queue drives job
     /// arrivals, per-iteration completions, timed device faults and
-    /// backoff expiries; dispatch happens at event boundaries. The serving
-    /// world — queueing, SLO tails and overload behavior become visible.
-    /// The `threads` knob has no effect here (the event loop is serial by
-    /// construction), so reports are trivially thread-count-independent.
+    /// backoff expiries; dispatch happens at event boundaries.
     EventDriven,
 }
 
-impl Mode {
-    /// Stable lowercase name ("bsp", "event-driven").
+/// How idle devices choose among queued jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulePolicy {
+    /// Oldest admissible job first.
+    Fifo,
+    /// Admissible job with the smallest predicted iteration time first
+    /// (drains short jobs early, shrinking mean queue wait).
+    ShortestPredicted,
+    /// Admissible job whose predicted peak fills the device best
+    /// (packs big jobs onto devices while they are free).
+    BestFitMemory,
+}
+
+impl SchedulePolicy {
+    /// Stable lowercase name.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Mode::Bsp => "bsp",
-            Mode::EventDriven => "event-driven",
+            SchedulePolicy::Fifo => "fifo",
+            SchedulePolicy::ShortestPredicted => "shortest-predicted",
+            SchedulePolicy::BestFitMemory => "best-fit-memory",
         }
     }
 
@@ -56,11 +70,84 @@ impl Mode {
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
-            "bsp" => Some(Mode::Bsp),
-            "event-driven" | "event" | "des" => Some(Mode::EventDriven),
+            "fifo" => Some(SchedulePolicy::Fifo),
+            "shortest-predicted" | "sjf" => Some(SchedulePolicy::ShortestPredicted),
+            "best-fit-memory" | "best-fit" => Some(SchedulePolicy::BestFitMemory),
             _ => None,
         }
     }
+}
+
+/// A whole cluster run, as data: jobs, devices, and the knobs. Produced
+/// (and validated) by [`ClusterBuilder::build`].
+pub struct ClusterSpec {
+    /// Jobs, in submission order.
+    pub jobs: Vec<JobSpec>,
+    /// The device pool.
+    pub devices: Vec<DeviceProfile>,
+    /// Dispatch policy.
+    pub schedule: SchedulePolicy,
+    /// Admission headroom (fraction of device memory admission may plan
+    /// into).
+    pub headroom: f64,
+    /// Per-device fault derivation and timed lifecycle faults (noop by
+    /// default).
+    pub faults: FleetFaultPlan,
+    /// Record every iteration's event stream for auditing.
+    pub record: bool,
+    /// How many times a job may be displaced off a dying device before
+    /// the scheduler fails it instead of requeueing again.
+    pub max_retries: usize,
+    /// When jobs enter the fleet.
+    pub arrivals: ArrivalProcess,
+    /// Bound on the pending queue: arrivals past it are shed explicitly.
+    /// `None` queues without bound.
+    pub queue_limit: Option<usize>,
+}
+
+/// Everything the scheduler kept about one job, for auditing and
+/// equivalence checks (the [`ClusterReport`] holds only the rollup).
+#[derive(Debug, Default)]
+pub struct JobDetail {
+    /// Job name.
+    pub name: String,
+    /// Device the job last ran on.
+    pub device: Option<usize>,
+    /// Event-loop epoch (the index of the same-instant event batch) at
+    /// which the job was first dispatched.
+    pub dispatch_round: Option<usize>,
+    /// Global dispatch sequence number of the first dispatch
+    /// (0 = dispatched first; migrations take fresh numbers, recorded on
+    /// their [`FleetEvent`](crate::FleetEvent)).
+    pub dispatch_seq: Option<usize>,
+    /// Per-iteration reports, in order, across every placement.
+    pub reports: Vec<IterationReport>,
+    /// Recorded event streams (empty unless the spec set `record`).
+    pub records: Vec<IterationRecord>,
+    /// The session's own fold of the run.
+    pub summary: RunSummary,
+    /// Planning-tier ladder counters snapshotted at job completion
+    /// (`None` for static planners, which have no tiered planner).
+    pub plan_tiers: Option<PlanTierStats>,
+    /// Why admission demoted or rejected the job (`None` for plain
+    /// admits).
+    pub admission_reason: Option<String>,
+    /// The policy's predicted first-iteration peak over the *raw*
+    /// (pre-pass) graph, when it could be profiled — what admission
+    /// would have gated on without the optimization pipeline.
+    pub graph_raw_peak_bytes: Option<usize>,
+    /// The same prediction over the optimized graph — what admission
+    /// actually gated on. The gap to `graph_raw_peak_bytes` is the
+    /// pass pipeline's credit.
+    pub graph_opt_peak_bytes: Option<usize>,
+}
+
+/// A finished cluster run: the rollup plus per-job evidence.
+pub struct ClusterOutcome {
+    /// The fleet rollup.
+    pub report: ClusterReport,
+    /// Per-job evidence, in submission order.
+    pub details: Vec<JobDetail>,
 }
 
 /// The fleet. Construct runs through [`Cluster::builder`].
@@ -75,16 +162,13 @@ impl Cluster {
 }
 
 /// Builder for one cluster run; see the module docs for the shape.
-/// Defaults mirror `ClusterSpec::new`: FIFO dispatch, parallel rounds,
-/// 0.95 headroom, no faults, no recording, 3 displacement retries, BSP
-/// mode with immediate arrivals and no queue limit.
+/// Defaults: FIFO dispatch, 0.95 headroom, no faults, no recording,
+/// 3 displacement retries, immediate arrivals and no queue limit.
 pub struct ClusterBuilder {
     devices: Option<DevicePool>,
     workload: Option<Workload>,
     arrivals: ArrivalProcess,
-    mode: Mode,
     schedule: SchedulePolicy,
-    threads: usize,
     headroom: f64,
     faults: FleetFaultPlan,
     record: bool,
@@ -98,9 +182,7 @@ impl Default for ClusterBuilder {
             devices: None,
             workload: None,
             arrivals: ArrivalProcess::Immediate,
-            mode: Mode::Bsp,
             schedule: SchedulePolicy::Fifo,
-            threads: 0,
             headroom: 0.95,
             faults: FleetFaultPlan::none(0),
             record: false,
@@ -125,18 +207,18 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the arrival process (event-driven mode only; BSP ignores it —
-    /// the batch world has every job present at `t = 0`).
+    /// Set the arrival process. The default, [`ArrivalProcess::Immediate`],
+    /// is the batch world: every job present at `t = 0`.
     #[must_use]
     pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
         self.arrivals = arrivals;
         self
     }
 
-    /// Set the execution mode.
+    /// No-op: [`Mode`] has a single variant, so there is nothing to set.
+    /// Kept so callers that name the mode explicitly keep compiling.
     #[must_use]
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
+    pub fn mode(self, _mode: Mode) -> Self {
         self
     }
 
@@ -147,13 +229,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the BSP threading mode: `1` runs rounds serially on the calling
-    /// thread; any other value spawns one scoped thread per busy device.
-    /// The report is byte-identical either way; event-driven mode ignores
-    /// the knob entirely.
+    /// No-op: the event loop is serial by construction, so no thread
+    /// count reaches any code. Kept so callers that pin a thread count
+    /// keep compiling.
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -186,10 +266,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Bound the pending queue (event-driven mode): a job arriving while
-    /// `queue_limit` jobs already wait is shed on arrival with an explicit
-    /// "queue full" outcome — the fleet's overload valve. `None` (the
-    /// default) queues without bound.
+    /// Bound the pending queue: a job arriving while `queue_limit` jobs
+    /// already wait is shed on arrival with an explicit "queue full"
+    /// outcome — the fleet's overload valve. `None` (the default) queues
+    /// without bound.
     #[must_use]
     pub fn queue_limit(mut self, queue_limit: Option<usize>) -> Self {
         self.queue_limit = queue_limit;
@@ -205,23 +285,33 @@ impl ClusterBuilder {
     /// empty, [`ClusterError::ZeroIterationJob`] when a job requests zero
     /// iterations.
     pub fn build(self) -> Result<ClusterSpec, ClusterError> {
-        let workload = self.workload.ok_or(ClusterError::MissingWorkload)?;
-        let devices = self.devices.unwrap_or_else(|| DevicePool::custom(vec![]));
-        let spec = ClusterSpec {
-            jobs: workload.into_jobs(),
-            devices: devices.into_devices(),
+        let jobs = self
+            .workload
+            .ok_or(ClusterError::MissingWorkload)?
+            .into_jobs();
+        let devices = self
+            .devices
+            .map(DevicePool::into_devices)
+            .unwrap_or_default();
+        if devices.is_empty() {
+            return Err(ClusterError::EmptyDevicePool);
+        }
+        if let Some(job) = jobs.iter().find(|j| j.iters == 0) {
+            return Err(ClusterError::ZeroIterationJob {
+                name: job.name.clone(),
+            });
+        }
+        Ok(ClusterSpec {
+            jobs,
+            devices,
             schedule: self.schedule,
-            threads: self.threads,
             headroom: self.headroom,
             faults: self.faults,
             record: self.record,
             max_retries: self.max_retries,
-            mode: self.mode,
             arrivals: self.arrivals,
             queue_limit: self.queue_limit,
-        };
-        validate(&spec)?;
-        Ok(spec)
+        })
     }
 
     /// Compile and run the cluster to completion. Per-job failures
@@ -234,41 +324,13 @@ impl ClusterBuilder {
     ///
     /// See [`ClusterBuilder::build`].
     pub fn run(self) -> Result<ClusterOutcome, ClusterError> {
-        let spec = self.build()?;
-        match spec.mode {
-            Mode::Bsp => run_bsp(&spec),
-            Mode::EventDriven => run_event(&spec),
-        }
+        Ok(run_event(&self.build()?))
     }
-}
-
-/// Shared spec validation: both drivers re-check before running, so even
-/// hand-built `ClusterSpec`s (the legacy path) get the typed errors.
-pub(crate) fn validate(spec: &ClusterSpec) -> Result<(), ClusterError> {
-    if spec.devices.is_empty() {
-        return Err(ClusterError::EmptyDevicePool);
-    }
-    if let Some(job) = spec.jobs.iter().find(|j| j.iters == 0) {
-        return Err(ClusterError::ZeroIterationJob {
-            name: job.name.clone(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_names_round_trip() {
-        for m in [Mode::Bsp, Mode::EventDriven] {
-            assert_eq!(Mode::parse(m.name()), Some(m));
-        }
-        assert_eq!(Mode::parse("des"), Some(Mode::EventDriven));
-        assert_eq!(Mode::parse("nope"), None);
-        assert_eq!(Mode::default(), Mode::Bsp);
-    }
 
     #[test]
     fn builder_rejects_malformed_specs_with_typed_errors() {
@@ -297,5 +359,18 @@ mod tests {
             matches!(err, Some(ClusterError::ZeroIterationJob { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn mode_and_threads_are_inert() {
+        let mk = || {
+            Cluster::builder()
+                .devices(DevicePool::v100(2))
+                .workload(Workload::mixed(2))
+                .arrivals(ArrivalProcess::poisson(300_000, 9))
+        };
+        let plain = mk().run().expect("runs").report.to_json();
+        let named = mk().mode(Mode::EventDriven).threads(8).run();
+        assert_eq!(plain, named.expect("runs").report.to_json());
     }
 }

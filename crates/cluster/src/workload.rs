@@ -231,22 +231,6 @@ impl Workload {
     }
 }
 
-/// Legacy helper, kept so pre-builder call sites keep compiling. New code
-/// says [`DevicePool::v100`].
-#[doc(hidden)]
-#[must_use]
-pub fn v100_pool(n: usize) -> Vec<DeviceProfile> {
-    DevicePool::v100(n).into_devices()
-}
-
-/// Legacy helper, kept so pre-builder call sites keep compiling. New code
-/// says [`Workload::mixed`].
-#[doc(hidden)]
-#[must_use]
-pub fn mixed_workload(iters: usize) -> Vec<JobSpec> {
-    Workload::mixed(iters).into_jobs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,20 +249,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8);
-    }
-
-    #[test]
-    fn legacy_wrappers_match_the_typed_constructors() {
-        let a = mixed_workload(3);
-        let b = Workload::mixed(3).into_jobs();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.priority, y.priority);
-            assert_eq!(x.iters, y.iters);
-        }
-        assert_eq!(v100_pool(3).len(), DevicePool::v100(3).len());
     }
 
     #[test]

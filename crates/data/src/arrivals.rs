@@ -1,4 +1,4 @@
-//! Job-arrival processes for the fleet's event-driven serving mode.
+//! Job-arrival processes for the fleet's event-driven driver.
 //!
 //! The paper exploits the fact that *input sizes* arrive as a stochastic
 //! process the planner can adapt to; one level up, *jobs* arrive as a
@@ -23,7 +23,7 @@ use mimose_rng::{Rng, SeedableRng, StdRng};
 /// clock — so two runs with the same process are byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
-    /// Every job is present at `t = 0` (the BSP batch-world assumption).
+    /// Every job is present at `t = 0` (the batch world; the cluster builder's default).
     Immediate,
     /// Poisson arrivals: independent exponential inter-arrival gaps with
     /// the given mean, drawn by inverse CDF from a seeded stream.

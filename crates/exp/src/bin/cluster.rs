@@ -1,25 +1,28 @@
 //! `cluster`: run the eight-job mixed NLP/vision workload over a pool of
 //! simulated V100s and print the fleet rollup.
 //!
+//! Every job arrives at `t = 0` (the batch world) and the fleet's one
+//! driver, the discrete-event loop, dispatches them.
+//!
 //! With `--gate`, exit non-zero unless the fleet scheduler honours its
 //! determinism contract: same seed ⇒ byte-identical `ClusterReport` across
-//! two runs and across thread counts; a 1-job/1-device cluster run
-//! byte-identical to driving the job through `Session::run`; the audit
-//! cluster lint clean under every dispatch policy; makespan improving
-//! monotonically from 1 to 4 devices; and — the survivability leg — a
-//! fault plan permanently killing one device mid-run must end with every
-//! job finished or explicitly shed (zero lost jobs), a lint-clean fleet
-//! trace, and byte-identical replay across runs and thread counts. The
-//! gate also writes `BENCH_cluster.json` (the device-scaling record) at
-//! the repository root.
+//! two runs; a 1-job/1-device cluster run byte-identical to driving the
+//! job through `Session::run`; the audit cluster lint clean under every
+//! dispatch policy; makespan improving monotonically from 1 to 4 devices;
+//! and — the survivability leg — a fault plan permanently killing one
+//! device mid-run must end with every job finished or explicitly shed
+//! (zero lost jobs), a lint-clean fleet trace, and byte-identical replay.
+//! The gate also writes `BENCH_cluster.json` (the device-scaling record)
+//! at the repository root.
 //!
-//! `--lose` / `--down` inject device-lifecycle faults into plain runs, so
-//! the failure protocol's event chain can be inspected by hand
-//! (`--json` includes the full chain).
+//! `--lose` / `--down` inject device-lifecycle faults, timed in virtual
+//! nanoseconds, into plain runs, so the failure protocol's event chain can
+//! be inspected by hand (`--json` includes the full chain).
 
 use mimose::cluster::{ClusterBuilder, ClusterOutcome};
 use mimose::prelude::*;
 use mimose_audit::lint_cluster;
+use mimose_exp::fleetgate::fleet_matches_session;
 use mimose_exp::table::{gib, ms, render_table};
 use std::path::Path;
 
@@ -32,10 +35,9 @@ USAGE:
 OPTIONS:
     --devices <N>     V100 pool size, 1..=16  [4]
     --iters <N>       iterations per job  [4]
-    --threads <N>     worker threads (1 = serial; 0 = one per busy device)  [0]
     --schedule <P>    fifo | shortest-predicted | best-fit-memory  [fifo]
-    --lose <D:R>      permanently lose device D at round R (repeatable)
-    --down <D:R:N>    take device D down at round R for N rounds (repeatable)
+    --lose <D:T>      permanently lose device D at virtual ns T (repeatable)
+    --down <D:T:N>    take device D down at virtual ns T for N ns (repeatable)
     --json            print the ClusterReport JSON instead of the table
     --gate            run the determinism/audit/scaling/survivability gate
                       and write BENCH_cluster.json at the repository root
@@ -45,9 +47,8 @@ OPTIONS:
 struct Args {
     devices: usize,
     iters: usize,
-    threads: usize,
     schedule: SchedulePolicy,
-    faults: Vec<(usize, DeviceFault)>,
+    faults: Vec<(usize, TimedDeviceFault)>,
     json: bool,
     gate: bool,
 }
@@ -57,7 +58,6 @@ impl Default for Args {
         Args {
             devices: 4,
             iters: 4,
-            threads: 0,
             schedule: SchedulePolicy::Fifo,
             faults: Vec::new(),
             json: false,
@@ -66,26 +66,20 @@ impl Default for Args {
     }
 }
 
-fn parse_fault(arg: &str, spec: &str) -> Result<(usize, DeviceFault), String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("{arg}: '{s}' is not an integer"))
+fn parse_fault(arg: &str, spec: &str) -> Result<(usize, TimedDeviceFault), String> {
+    let shape = if arg == "--lose" { "D:T" } else { "D:T:N" };
+    let bad = || format!("{arg} expects {shape} (integers), got '{spec}'");
+    let nums: Vec<u64> = spec
+        .split(':')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .map_err(|_| bad())?;
+    let fault = match (arg, nums.as_slice()) {
+        ("--lose", &[_, at_ns]) => TimedDeviceFault::Lost { at_ns },
+        ("--down", &[_, at_ns, duration_ns]) => TimedDeviceFault::Down { at_ns, duration_ns },
+        _ => return Err(bad()),
     };
-    match (arg, parts.as_slice()) {
-        ("--lose", [d, r]) => Ok((num(d)?, DeviceFault::Lost { at_round: num(r)? })),
-        ("--down", [d, r, n]) => Ok((
-            num(d)?,
-            DeviceFault::Down {
-                at_round: num(r)?,
-                duration: num(n)?,
-            },
-        )),
-        _ => Err(format!(
-            "{arg} expects {}",
-            if arg == "--lose" { "D:R" } else { "D:R:N" }
-        )),
-    }
+    Ok((usize::try_from(nums[0]).map_err(|_| bad())?, fault))
 }
 
 fn parse(args: &[String]) -> Result<Option<Args>, String> {
@@ -115,11 +109,6 @@ fn parse(args: &[String]) -> Result<Option<Args>, String> {
                     return Err("--iters must be positive".into());
                 }
             }
-            "--threads" => {
-                a.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_string())?;
-            }
             "--schedule" => {
                 let name = value("--schedule")?;
                 a.schedule = SchedulePolicy::parse(name)
@@ -140,9 +129,9 @@ fn parse(args: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(a))
 }
 
-fn fault_plan(faults: &[(usize, DeviceFault)]) -> FleetFaultPlan {
+fn fault_plan(faults: &[(usize, TimedDeviceFault)]) -> FleetFaultPlan {
     faults.iter().fold(FleetFaultPlan::none(0), |plan, (d, f)| {
-        plan.with_device_fault(*d, *f)
+        plan.with_timed_fault(*d, *f)
     })
 }
 
@@ -151,9 +140,12 @@ fn builder(args: &Args) -> ClusterBuilder {
         .devices(DevicePool::v100(args.devices))
         .workload(Workload::mixed(args.iters))
         .schedule(args.schedule)
-        .threads(args.threads)
         .faults(fault_plan(&args.faults))
 }
+
+/// When the survivability leg loses device 1: mid-run, partway through
+/// its first job, so that job must checkpoint and migrate.
+const SURVIVABILITY_LOSS_NS: u64 = 1_618_617_222;
 
 fn run(b: ClusterBuilder) -> ClusterOutcome {
     b.run().expect("gate specs are well-formed")
@@ -203,7 +195,7 @@ fn render(outcome: &ClusterOutcome) {
         )
     );
     println!(
-        "\nmakespan {} ms | utilization {:.1}% | rounds {} | mean queue {} ms | \
+        "\nmakespan {} ms | utilization {:.1}% | epochs {} | mean queue {} ms | \
          admitted {} demoted {} rejected {}",
         ms(r.makespan_ns),
         r.utilization_pct,
@@ -225,7 +217,7 @@ fn render(outcome: &ClusterOutcome) {
             ms(r.fleet.overhead_ns),
         );
         for e in &r.events {
-            println!("  round {:>3}  {}", e.round, e.kind.tag());
+            println!("  {:>10} ms  {}", ms(e.at_ns), e.kind.tag());
         }
     }
 }
@@ -279,51 +271,14 @@ fn gate(args: &Args) -> Vec<String> {
     let b = run(builder(args)).report.to_json();
     check("replay determinism", a == b, "two runs diverged".into());
 
-    // 2. Serial vs parallel rounds ⇒ byte-identical report.
-    let serial = run(builder(args).threads(1)).report.to_json();
-    let parallel = run(builder(args).threads(4)).report.to_json();
+    // 2. Degenerate 1-job/1-device run ≡ Session::run.
     check(
-        "thread independence",
-        serial == parallel,
-        "threads=1 and threads=4 reports diverged".into(),
+        "degenerate equivalence",
+        fleet_matches_session(args.iters),
+        "1-job/1-device cluster diverged from Session::run".into(),
     );
 
-    // 3. Degenerate 1-job/1-device run ≡ Session::run.
-    {
-        let model = bert_base(BertHead::Classification { labels: 2 }).optimize();
-        let dataset = presets::glue_qqp();
-        let device = DeviceProfile::v100();
-        let kind = PolicyKind::Sublinear;
-        let budget = 6usize << 30;
-        let job = JobSpec::new(
-            "solo",
-            model.clone(),
-            dataset.clone(),
-            JobPolicy::Planner(kind, budget),
-            args.iters,
-            7,
-        );
-        let outcome = run(Cluster::builder()
-            .devices(DevicePool::custom(vec![device.clone()]))
-            .workload(Workload::custom(vec![job])));
-        let worst = model.profile(&dataset.worst_case()).expect("profiles");
-        let mut session = Session::builder(&model, &dataset)
-            .policy_boxed(kind.build_on(&worst, budget, &device))
-            .device(device)
-            .seed(7)
-            .build()
-            .expect("session builds");
-        let reports = session.run(args.iters).expect("session runs");
-        let same = format!("{:?}", outcome.details[0].reports) == format!("{reports:?}")
-            && format!("{:?}", outcome.details[0].summary) == format!("{:?}", session.summary());
-        check(
-            "degenerate equivalence",
-            same,
-            "1-job/1-device cluster diverged from Session::run".into(),
-        );
-    }
-
-    // 4. Audit lint clean under every dispatch policy.
+    // 3. Audit lint clean under every dispatch policy.
     for schedule in [
         SchedulePolicy::Fifo,
         SchedulePolicy::ShortestPredicted,
@@ -341,7 +296,7 @@ fn gate(args: &Args) -> Vec<String> {
         );
     }
 
-    // 5. Makespan improves monotonically 1 → 4 devices.
+    // 4. Makespan improves monotonically 1 → 4 devices.
     let points: Vec<ScalePoint> = (1..=4)
         .map(|m| {
             let r = run(Cluster::builder()
@@ -376,19 +331,22 @@ fn gate(args: &Args) -> Vec<String> {
         ),
     );
 
-    // 6. Survivability: permanently lose device 1 of 4 in round 2 of the
+    // 5. Survivability: permanently lose device 1 of 4 mid-run on the
     // canonical 8-job workload. Every job must finish or be explicitly
     // shed (here: capacity still fits, so zero shed and zero failed), the
     // fleet trace must lint clean, and the whole degraded run must replay
-    // byte-identically across runs and thread counts.
+    // byte-identically.
     {
         let lossy = || {
             Cluster::builder()
                 .devices(DevicePool::v100(4))
                 .workload(Workload::mixed(args.iters))
-                .faults(
-                    FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 }),
-                )
+                .faults(FleetFaultPlan::none(0).with_timed_fault(
+                    1,
+                    TimedDeviceFault::Lost {
+                        at_ns: SURVIVABILITY_LOSS_NS,
+                    },
+                ))
                 .record(true)
         };
         let outcome = run(lossy());
@@ -417,15 +375,14 @@ fn gate(args: &Args) -> Vec<String> {
             ),
         );
         let replay = run(lossy()).report.to_json();
-        let threaded = run(lossy().threads(1)).report.to_json();
         check(
             "survivability: byte-identical replay under device loss",
-            r.to_json() == replay && replay == threaded,
-            "degraded runs diverged across replays or thread counts".into(),
+            r.to_json() == replay,
+            "degraded runs diverged across replays".into(),
         );
     }
 
-    // 7. Emit the scaling record.
+    // 6. Emit the scaling record.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json");
     match std::fs::write(&path, bench_json(args.iters, &points)) {
         Ok(()) => eprintln!("cluster gate: wrote {}", path.display()),

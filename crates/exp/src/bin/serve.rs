@@ -1,13 +1,12 @@
-//! `serve`: run the fleet in event-driven serving mode — jobs arrive on
+//! `serve`: run the fleet as a server — jobs arrive on
 //! the virtual clock per an arrival process, dispatch at real iteration
 //! boundaries, and the report carries the SLO tail rollup (queue-wait and
 //! iteration-latency p50/p95/p99, goodput, rejection/shed rates).
 //!
-//! With `--gate`, exit non-zero unless serving mode honours its contract:
-//! same spec ⇒ byte-identical report across two runs and across thread
-//! counts; event mode with every arrival at `t = 0` reproduces the BSP
-//! scheduler's per-job evidence exactly (the degenerate-equivalence leg);
-//! the audit cluster lint — which independently re-folds every tail
+//! With `--gate`, exit non-zero unless serving honours its contract:
+//! same spec ⇒ byte-identical report across two runs; a 1-job/1-device
+//! fleet run reproduces `Session::run` exactly (the degenerate-equivalence
+//! leg); the audit cluster lint — which independently re-folds every tail
 //! percentile from the per-job rows and re-derives the arrival/dispatch/
 //! completion chain — is clean on steady and bursty serving runs; and an
 //! overload scenario (a scaled workload squeezed through a bounded queue)
@@ -19,11 +18,12 @@
 use mimose::cluster::{ClusterBuilder, ClusterOutcome, ClusterReport};
 use mimose::prelude::*;
 use mimose_audit::lint_cluster;
+use mimose_exp::fleetgate::fleet_matches_session;
 use mimose_exp::table::{gib, ms, render_table};
 use std::path::Path;
 
 const USAGE: &str = "\
-serve — event-driven serving mode: online arrivals, SLO tails, bounded queues
+serve — the fleet as a server: online arrivals, SLO tails, bounded queues
 
 USAGE:
     serve [OPTIONS]
@@ -37,7 +37,6 @@ OPTIONS:
     --seed <N>         arrival-stream seed  [42]
     --queue-limit <N>  bound the pending queue; arrivals past it shed  [none]
     --schedule <P>     fifo | shortest-predicted | best-fit-memory  [fifo]
-    --threads <N>      worker threads (ignored by the event loop)  [0]
     --json             print the ClusterReport JSON instead of the table
     --gate             run the determinism/equivalence/audit/overload gate
                        and write BENCH_serve.json at the repository root
@@ -58,7 +57,6 @@ struct Args {
     seed: u64,
     queue_limit: Option<usize>,
     schedule: SchedulePolicy,
-    threads: usize,
     json: bool,
     gate: bool,
 }
@@ -74,7 +72,6 @@ impl Default for Args {
             seed: 42,
             queue_limit: None,
             schedule: SchedulePolicy::Fifo,
-            threads: 0,
             json: false,
             gate: false,
         }
@@ -141,9 +138,6 @@ fn parse(args: &[String]) -> Result<Option<Args>, String> {
                 a.schedule = SchedulePolicy::parse(name)
                     .ok_or_else(|| format!("unknown schedule '{name}'"))?;
             }
-            "--threads" => {
-                a.threads = num("--threads", value("--threads")?)?;
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
     }
@@ -167,11 +161,9 @@ fn builder(args: &Args) -> ClusterBuilder {
     Cluster::builder()
         .devices(DevicePool::v100(args.devices))
         .workload(Workload::scaled(args.iters, args.jobs))
-        .mode(Mode::EventDriven)
         .arrivals(arrivals(args))
         .queue_limit(args.queue_limit)
         .schedule(args.schedule)
-        .threads(args.threads)
 }
 
 fn run(b: ClusterBuilder) -> ClusterOutcome {
@@ -291,7 +283,6 @@ fn overload_builder(iters: usize) -> ClusterBuilder {
     Cluster::builder()
         .devices(DevicePool::v100(OVERLOAD_DEVICES))
         .workload(Workload::scaled(iters, OVERLOAD_JOBS))
-        .mode(Mode::EventDriven)
         .arrivals(ArrivalProcess::poisson(OVERLOAD_GAP_NS, OVERLOAD_SEED))
         .queue_limit(Some(OVERLOAD_QUEUE_LIMIT))
 }
@@ -314,48 +305,15 @@ fn gate(args: &Args) -> Vec<String> {
         "two serving runs diverged".into(),
     );
 
-    // 2. The thread knob is inert in the event loop.
-    let t1 = run(builder(args).threads(1)).report.to_json();
-    let t8 = run(builder(args).threads(8)).report.to_json();
+    // 2. Degenerate equivalence: a 1-job/1-device fleet run ≡
+    // Session::run — the event loop adds orchestration, never behavior.
     check(
-        "thread independence",
-        t1 == t8,
-        "threads=1 and threads=8 serving reports diverged".into(),
+        "session-degenerate equivalence",
+        fleet_matches_session(args.iters),
+        "1-job/1-device fleet run diverged from Session::run".into(),
     );
 
-    // 3. Degenerate equivalence: every arrival at t = 0, no queue bound
-    // ⇒ each job's execution evidence matches the BSP scheduler's
-    // job-for-job, and both modes deliver the same total work.
-    {
-        let bsp = run(Cluster::builder()
-            .devices(DevicePool::v100(args.devices))
-            .workload(Workload::mixed(args.iters)));
-        let des = run(Cluster::builder()
-            .devices(DevicePool::v100(args.devices))
-            .workload(Workload::mixed(args.iters))
-            .mode(Mode::EventDriven)
-            .arrivals(ArrivalProcess::Immediate));
-        let per_job = bsp
-            .details
-            .iter()
-            .zip(&des.details)
-            .all(|(a, b)| format!("{:?}", a.reports) == format!("{:?}", b.reports))
-            && bsp
-                .report
-                .jobs
-                .iter()
-                .zip(&des.report.jobs)
-                .all(|(a, b)| a.iters == b.iters && a.total_ns == b.total_ns);
-        check(
-            "bsp-degenerate equivalence",
-            per_job
-                && bsp.report.busy_ns == des.report.busy_ns
-                && bsp.report.slo.goodput_iters == des.report.slo.goodput_iters,
-            "event mode with immediate arrivals diverged from BSP".into(),
-        );
-    }
-
-    // 4. Audit lint — independent re-fold of every SLO tail and the
+    // 3. Audit lint — independent re-fold of every SLO tail and the
     // arrival/dispatch/completion chain — clean on steady and bursty
     // serving runs.
     for shape in ["poisson", "bursty"] {
@@ -377,7 +335,7 @@ fn gate(args: &Args) -> Vec<String> {
         );
     }
 
-    // 5. Overload: a bounded queue under saturating arrivals must shed
+    // 4. Overload: a bounded queue under saturating arrivals must shed
     // explicitly — nonzero sheds, zero failed jobs, every job settled —
     // and still lint clean.
     let overload = run(overload_builder(args.iters).record(true));
@@ -425,7 +383,7 @@ fn gate(args: &Args) -> Vec<String> {
         );
     }
 
-    // 6. Emit the SLO record: the steady serving run plus the overload
+    // 5. Emit the SLO record: the steady serving run plus the overload
     // scenario.
     let json = format!(
         "{{\n  \"suite\": \"serve\",\n  \"mode\": \"event-driven\",\n  \

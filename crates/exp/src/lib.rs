@@ -9,6 +9,7 @@
 pub mod cli;
 pub mod csv;
 pub mod experiments;
+pub mod fleetgate;
 pub mod par;
 pub mod planners;
 pub mod table;

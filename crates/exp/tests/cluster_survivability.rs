@@ -6,20 +6,23 @@
 //! every job must end in an explicit outcome (finished, shed, or failed
 //! with bounded retries) — no hangs, no panics, no silent drops — the
 //! audit lint must re-derive the whole fleet rollup from the event chain,
-//! and the degraded run must replay byte-identically across runs and
-//! thread counts.
+//! and the degraded run must replay byte-identically across runs.
 
 use mimose::prelude::*;
 use mimose_audit::lint_cluster;
 use mimose_cluster::{ClusterOutcome, JobOutcome};
 
-fn lose_one_of_four(threads: usize) -> ClusterOutcome {
-    let faults = FleetFaultPlan::none(0).with_device_fault(1, DeviceFault::Lost { at_round: 2 });
+/// Virtual instant device 1 of 4 dies: mid-run, partway through its
+/// first job.
+const LOSS_NS: u64 = 1_618_617_222;
+
+fn lose_one_of_four() -> ClusterOutcome {
+    let faults =
+        FleetFaultPlan::none(0).with_timed_fault(1, TimedDeviceFault::Lost { at_ns: LOSS_NS });
     Cluster::builder()
         .devices(DevicePool::v100(4))
         .workload(Workload::mixed(4))
         .faults(faults)
-        .threads(threads)
         .record(true)
         .run()
         .expect("degraded canonical workload runs")
@@ -27,7 +30,7 @@ fn lose_one_of_four(threads: usize) -> ClusterOutcome {
 
 #[test]
 fn losing_one_device_of_four_loses_no_jobs() {
-    let outcome = lose_one_of_four(0);
+    let outcome = lose_one_of_four();
     let r = &outcome.report;
     for job in &r.jobs {
         assert!(
@@ -58,25 +61,26 @@ fn losing_one_device_of_four_loses_no_jobs() {
 
 #[test]
 fn degraded_run_is_lint_clean_and_replays_byte_identically() {
-    let a = lose_one_of_four(0);
+    let a = lose_one_of_four();
     let diags = lint_cluster(&a);
     assert!(
         diags.is_empty(),
         "{:?}",
         diags.iter().map(|d| d.to_string()).collect::<Vec<_>>()
     );
-    let b = lose_one_of_four(4);
-    let c = lose_one_of_four(1);
+    let b = lose_one_of_four();
+    let c = lose_one_of_four();
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(b.report.to_json(), c.report.to_json());
 }
 
 #[test]
 fn event_chain_tells_the_whole_displacement_story() {
-    let outcome = lose_one_of_four(0);
+    let outcome = lose_one_of_four();
     let r = &outcome.report;
-    // Chronological protocol order for the displaced job: down →
-    // checkpoint → requeue → backoff → migrate.
+    // Chronological protocol order for the displaced job: arrive →
+    // dispatch → (device down) checkpoint → requeue → backoff → migrate →
+    // complete.
     let displaced: Vec<usize> = r
         .jobs
         .iter()
@@ -94,7 +98,15 @@ fn event_chain_tells_the_whole_displacement_story() {
             .collect();
         assert_eq!(
             tags,
-            vec!["checkpoint", "requeue", "backoff", "migrate"],
+            vec![
+                "arrive",
+                "dispatch",
+                "checkpoint",
+                "requeue",
+                "backoff",
+                "migrate",
+                "complete"
+            ],
             "job #{j}"
         );
         // The migration resumed exactly where the checkpoint parked.
@@ -110,7 +122,7 @@ fn event_chain_tells_the_whole_displacement_story() {
         assert_eq!(cursors.len(), 2);
         assert_eq!(cursors[0].1, cursors[1].1, "job #{j} resumed elsewhere");
     }
-    // The down event for the lost device is permanent (no return round).
+    // The down event for the lost device is permanent (no return instant).
     assert!(r.events.iter().any(|e| matches!(
         e.kind,
         FleetEventKind::DeviceDown {
@@ -126,12 +138,12 @@ fn capacity_collapse_degrades_gracefully() {
     // device 1: admission re-decides against the effective capacity, and
     // the fleet still finishes the canonical workload.
     let faults = FleetFaultPlan::none(0)
-        .with_device_fault(1, DeviceFault::Lost { at_round: 2 })
-        .with_device_fault(
+        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: LOSS_NS })
+        .with_timed_fault(
             0,
-            DeviceFault::CapacityCollapse {
-                at_round: 0,
-                duration: usize::MAX,
+            TimedDeviceFault::CapacityCollapse {
+                at_ns: 0,
+                duration_ns: u64::MAX,
                 factor: 0.5,
             },
         );
@@ -168,8 +180,8 @@ fn shed_jobs_are_reported_with_reasons_and_lint_clean() {
     // Kill every device: the whole backlog must shed with explicit
     // reasons, and the trace must still satisfy the audit.
     let faults = FleetFaultPlan::none(0)
-        .with_device_fault(0, DeviceFault::Lost { at_round: 1 })
-        .with_device_fault(1, DeviceFault::Lost { at_round: 1 });
+        .with_timed_fault(0, TimedDeviceFault::Lost { at_ns: 100_000_000 })
+        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 100_000_000 });
     let outcome = Cluster::builder()
         .devices(DevicePool::v100(2))
         .workload(Workload::mixed(6))

@@ -63,9 +63,7 @@ pub use mimose_tensor as tensor;
 /// and the handful of substrate types (device, dataset, model builders)
 /// every experiment needs.
 pub mod prelude {
-    pub use mimose_chaos::{
-        DeviceFault, FaultInjector, FaultSpec, FleetFaultPlan, TimedDeviceFault,
-    };
+    pub use mimose_chaos::{FaultInjector, FaultSpec, FleetFaultPlan, TimedDeviceFault};
     pub use mimose_cluster::{
         ArrivalProcess, Cluster, ClusterBuilder, ClusterError, ClusterReport, ClusterSpec,
         DevicePool, FleetEvent, FleetEventKind, JobOutcome, JobPolicy, JobSpec, Mode,
