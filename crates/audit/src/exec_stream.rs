@@ -2,8 +2,8 @@
 //!
 //! Both engines can record every allocation, free, clock charge, plan
 //! change and recovery action as one append-only event stream
-//! (`run_block_iteration_recorded` / `run_dtr_iteration_recorded` in
-//! `mimose-exec`). This pass is the single entry point for auditing such a
+//! (`BlockIteration::run_recorded` / `DtrIteration::run_recorded`, or a
+//! `Session` built with `.record(true)`, in `mimose-exec`). This pass is the single entry point for auditing such a
 //! stream: it projects the allocator-level events down to the arena
 //! [`TraceEvent`](mimose_simgpu::TraceEvent) log and replays them through
 //! [`audit_trace`]'s shadow allocator, then extracts the embedded

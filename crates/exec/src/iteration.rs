@@ -1,29 +1,26 @@
-//! Builder facades over the engine entry points, for callers that drive a
+//! Builder facades over the two engines, for callers that drive a
 //! *single* iteration with explicit knobs (experiments sweeping capacities,
 //! fixtures, benches) rather than a whole run: [`BlockIteration`] for the
-//! block engine and [`DtrIteration`] for the tensor engine.
-//!
-//! The old free functions (`run_block_iteration*`, `run_dtr_iteration*`)
-//! remain as `#[doc(hidden)]` wrappers; these builders call the same
-//! implementations, so results are byte-identical.
+//! block engine and [`DtrIteration`] for the tensor engine. They share
+//! their implementations with [`Session`](crate::Session): every block
+//! iteration runs through the recovery driver, every DTR iteration
+//! through the one DTR timeline.
 
-use crate::block_engine::{run_block_iteration, run_block_iteration_recorded, BlockMode, BlockRun};
-use crate::dtr_engine::{run_dtr_iteration_recorded, run_dtr_iteration_with_policy};
-use crate::recovery::{
-    run_block_iteration_recovering, run_block_iteration_recovering_recorded, RecoveryConfig,
-};
+use crate::block_engine::{run_block_attempt, BlockMode, BlockRun, EngineOpts};
+use crate::dtr_engine::run_dtr_impl;
+use crate::recovery::{drive, RecoveryConfig};
 use mimose_chaos::IterationFaults;
 use mimose_models::ModelProfile;
 use mimose_planner::{CheckpointPlan, HybridPlan};
-use mimose_runtime::{ExecEvent, IterationReport, Recorder};
-use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile, TraceEvent};
+use mimose_runtime::{EventLog, ExecEvent, IterationReport, NullRecorder, Recorder};
+use mimose_simgpu::{AllocPolicy, ArenaStats, DeviceProfile};
 
 /// One block-engine iteration, configured fluently. Construct with
 /// [`BlockIteration::plan`] / [`fine`](BlockIteration::fine) /
 /// [`hybrid`](BlockIteration::hybrid) / [`shuttle`](BlockIteration::shuttle),
 /// then run with [`run`](BlockIteration::run),
 /// [`run_recorded`](BlockIteration::run_recorded) or
-/// [`run_traced`](BlockIteration::run_traced).
+/// [`run_into`](BlockIteration::run_into).
 pub struct BlockIteration<'a> {
     profile: &'a ModelProfile,
     mode: BlockMode<'a>,
@@ -130,32 +127,13 @@ impl<'a> BlockIteration<'a> {
     /// Execute.
     #[must_use]
     pub fn run(self) -> BlockRun {
-        if self.recovery.is_none() && self.faults.is_none() {
-            return run_block_iteration(
-                self.profile,
-                self.mode,
-                self.capacity,
-                &self.device,
-                self.iter,
-                self.planning_ns,
-            );
-        }
-        run_block_iteration_recovering(
-            self.profile,
-            self.mode,
-            self.capacity,
-            &self.device,
-            self.iter,
-            self.planning_ns,
-            self.recovery,
-            self.faults,
-        )
+        self.drive(None).0
     }
 
     /// Execute, emitting the event stream into a caller-supplied
-    /// [`Recorder`] — the zero-churn seam: a caller that holds a
-    /// [`RingRecorder`](mimose_runtime::RingRecorder) across iterations
-    /// records every iteration without a single per-iteration allocation.
+    /// [`Recorder`] — the zero-churn seam: a caller that holds one
+    /// [`EventLog`] across iterations and clears it between them records
+    /// every iteration without regrowing the log.
     ///
     /// Single-attempt only: the restart rungs of the recovery ladder need
     /// attempt-scoped streams, so a configured `recovery` ladder here
@@ -164,19 +142,20 @@ impl<'a> BlockIteration<'a> {
     /// ladder-driven recording.
     #[must_use]
     pub fn run_into(self, rec: &mut dyn Recorder) -> BlockRun {
-        crate::block_engine::run_block_iteration_impl(
+        let opts = EngineOpts {
+            attempt: 0,
+            shrink: 1.0,
+            recovery: self.recovery,
+            faults: self.faults,
+        };
+        run_block_attempt(
             self.profile,
             self.mode,
             self.capacity,
             &self.device,
             self.iter,
             self.planning_ns,
-            &crate::block_engine::EngineOpts {
-                attempt: 0,
-                shrink: 1.0,
-                recovery: self.recovery,
-                faults: self.faults,
-            },
+            &opts,
             rec,
         )
         .0
@@ -186,17 +165,13 @@ impl<'a> BlockIteration<'a> {
     /// only when the recovery ladder restarted).
     #[must_use]
     pub fn run_recorded(self) -> (BlockRun, Vec<ExecEvent>, ArenaStats) {
-        if self.recovery.is_none() && self.faults.is_none() {
-            return run_block_iteration_recorded(
-                self.profile,
-                self.mode,
-                self.capacity,
-                &self.device,
-                self.iter,
-                self.planning_ns,
-            );
-        }
-        run_block_iteration_recovering_recorded(
+        let mut log = EventLog::new();
+        let (run, stats) = self.drive(Some(&mut log));
+        (run, log.events, stats)
+    }
+
+    fn drive(self, log: Option<&mut EventLog>) -> (BlockRun, ArenaStats) {
+        drive(
             self.profile,
             self.mode,
             self.capacity,
@@ -205,18 +180,8 @@ impl<'a> BlockIteration<'a> {
             self.planning_ns,
             self.recovery,
             self.faults,
+            log,
         )
-    }
-
-    /// Execute, projecting the recorded stream down to allocator-level
-    /// [`TraceEvent`]s.
-    pub fn run_traced(self) -> (BlockRun, Vec<TraceEvent>, ArenaStats) {
-        let (run, events, stats) = self.run_recorded();
-        let trace = events
-            .iter()
-            .filter_map(ExecEvent::to_trace_event)
-            .collect();
-        (run, trace, stats)
     }
 }
 
@@ -279,26 +244,26 @@ impl<'a> DtrIteration<'a> {
     /// Execute.
     #[must_use]
     pub fn run(self) -> IterationReport {
-        run_dtr_iteration_with_policy(
+        self.run_with(&mut NullRecorder).0
+    }
+
+    /// Execute, recording the full [`ExecEvent`] stream.
+    #[must_use]
+    pub fn run_recorded(self) -> (IterationReport, Vec<ExecEvent>, ArenaStats) {
+        let mut log = EventLog::new();
+        let (report, stats) = self.run_with(&mut log);
+        (report, log.events, stats)
+    }
+
+    fn run_with(self, rec: &mut dyn Recorder) -> (IterationReport, ArenaStats) {
+        run_dtr_impl(
             self.profile,
             self.budget,
             self.device_capacity,
             &self.device,
             self.iter,
             self.alloc_policy,
-        )
-    }
-
-    /// Execute, recording the full [`ExecEvent`] stream. (First-fit only:
-    /// the recorded entry point does not take an allocator policy.)
-    #[must_use]
-    pub fn run_recorded(self) -> (IterationReport, Vec<ExecEvent>, ArenaStats) {
-        run_dtr_iteration_recorded(
-            self.profile,
-            self.budget,
-            self.device_capacity,
-            &self.device,
-            self.iter,
+            rec,
         )
     }
 }
@@ -306,10 +271,9 @@ impl<'a> DtrIteration<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_engine::run_block_iteration_traced;
-    use crate::dtr_engine::run_dtr_iteration;
-    use mimose_models::builders::{bert_base, BertHead};
+    use mimose_models::builders::{bert_base, roberta_base, BertHead};
     use mimose_models::ModelInput;
+    use mimose_runtime::fold_events;
 
     fn profile(seq: usize) -> ModelProfile {
         bert_base(BertHead::Classification { labels: 2 })
@@ -318,50 +282,23 @@ mod tests {
     }
 
     #[test]
-    fn block_builder_matches_free_function() {
+    fn run_into_a_log_matches_the_recorded_stream() {
         let p = profile(128);
         let n = p.blocks.len();
         let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
-        let dev = DeviceProfile::v100();
-        let (legacy, legacy_trace, legacy_stats) =
-            run_block_iteration_traced(&p, BlockMode::Plan(&plan), 8 << 30, &dev, 2, 10);
-        let (built, built_trace, built_stats) = BlockIteration::plan(&p, &plan)
-            .capacity(8 << 30)
-            .iter(2)
-            .planning_ns(10)
-            .run_traced();
-        assert_eq!(legacy_trace, built_trace);
-        assert_eq!(legacy_stats.peak_used, built_stats.peak_used);
-        assert_eq!(
-            format!("{:?}", legacy.report),
-            format!("{:?}", built.report)
-        );
-    }
-
-    #[test]
-    fn dtr_builder_matches_free_function() {
-        let p = profile(96);
-        let dev = DeviceProfile::v100();
-        let legacy = run_dtr_iteration(&p, 4 << 30, dev.total_mem_bytes, &dev, 1);
-        let built = DtrIteration::new(&p, 4 << 30).iter(1).run();
-        assert_eq!(format!("{legacy:?}"), format!("{built:?}"));
-    }
-
-    #[test]
-    fn run_into_a_ring_matches_the_recorded_stream() {
-        let p = profile(128);
-        let n = p.blocks.len();
-        let plan = CheckpointPlan::from_indices(n, &[0, 2, 4]).unwrap();
-        let (_, events, _) = BlockIteration::plan(&p, &plan)
+        let (recorded, events, _) = BlockIteration::plan(&p, &plan)
             .capacity(8 << 30)
             .run_recorded();
-        let mut ring = mimose_runtime::RingRecorder::for_blocks(n);
+        let mut log = EventLog::new();
         let run = BlockIteration::plan(&p, &plan)
             .capacity(8 << 30)
-            .run_into(&mut ring);
+            .run_into(&mut log);
         assert!(run.report.ok());
-        assert_eq!(ring.dropped_events(), 0);
-        assert_eq!(ring.decode(), events);
+        assert_eq!(log.events, events);
+        assert_eq!(
+            format!("{:?}", run.report),
+            format!("{:?}", recorded.report)
+        );
     }
 
     #[test]
@@ -379,5 +316,28 @@ mod tests {
             .run();
         assert!(run.report.ok(), "ladder must rescue");
         assert!(!run.report.recovery.is_empty());
+    }
+
+    #[test]
+    fn recorded_dtr_run_honours_the_alloc_policy() {
+        // A tight budget makes DTR evict and free scattered tensors, so the
+        // fit policy changes placement and therefore the footprint.
+        let p = roberta_base(BertHead::Classification { labels: 1 })
+            .profile(&ModelInput::tokens(64, 128))
+            .unwrap();
+        let run = |fit| DtrIteration::new(&p, 5 << 30).alloc_policy(fit);
+        let first_fit = run(AllocPolicy::FirstFit).run();
+        let best_fit = run(AllocPolicy::BestFit).run();
+        assert_ne!(
+            format!("{first_fit:?}"),
+            format!("{best_fit:?}"),
+            "the profile must separate the two fit policies"
+        );
+        let (recorded, events, stats) = run(AllocPolicy::BestFit).run_recorded();
+        assert_eq!(format!("{recorded:?}"), format!("{best_fit:?}"));
+        let fold = fold_events(DeviceProfile::v100().total_mem_bytes, &events);
+        assert_eq!(fold.peak_used, best_fit.peak_bytes);
+        assert_eq!(fold.report_extent(), best_fit.peak_extent);
+        assert_eq!(fold.allocs, stats.allocs);
     }
 }

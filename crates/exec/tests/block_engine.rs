@@ -2,13 +2,21 @@
 //! public API only (the engine itself is a thin layer over
 //! `mimose_runtime::EngineCore`).
 
-use mimose_exec::{run_block_iteration, run_block_iteration_recorded, BlockMode};
+use mimose_exec::{BlockIteration, BlockMode, BlockRun};
 use mimose_models::builders::{bert_base, BertHead};
 use mimose_models::{ModelInput, ModelProfile};
 use mimose_planner::memory_model::{peak_bytes, FinePlan};
 use mimose_planner::{BlockAction, CheckpointPlan, HybridPlan};
 use mimose_runtime::fold_events;
 use mimose_simgpu::DeviceProfile;
+
+/// One block-engine iteration on the default V100, iteration 0.
+fn block_run(p: &ModelProfile, mode: BlockMode<'_>, capacity: usize, planning_ns: u64) -> BlockRun {
+    BlockIteration::with_mode(p, mode)
+        .capacity(capacity)
+        .planning_ns(planning_ns)
+        .run()
+}
 
 fn profile(seq: usize) -> ModelProfile {
     bert_base(BertHead::Classification { labels: 2 })
@@ -19,13 +27,12 @@ fn profile(seq: usize) -> ModelProfile {
 #[test]
 fn engine_peak_matches_analytic_model() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
     for plan in [
         CheckpointPlan::none(p.blocks.len()),
         CheckpointPlan::all(p.blocks.len()),
         CheckpointPlan::from_indices(p.blocks.len(), &[1, 2, 3, 4, 5]).unwrap(),
     ] {
-        let run = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 0);
+        let run = block_run(&p, BlockMode::Plan(&plan), 64 << 30, 0);
         assert!(run.report.ok());
         let analytic = peak_bytes(&p, &plan);
         let measured = run.report.peak_bytes;
@@ -40,21 +47,16 @@ fn engine_peak_matches_analytic_model() {
 #[test]
 fn checkpointing_reduces_peak_and_adds_recompute() {
     let p = profile(200);
-    let dev = DeviceProfile::v100();
-    let none = run_block_iteration(
+    let none = block_run(
         &p,
         BlockMode::Plan(&CheckpointPlan::none(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
         0,
     );
-    let all = run_block_iteration(
+    let all = block_run(
         &p,
         BlockMode::Plan(&CheckpointPlan::all(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
         0,
     );
     assert!(all.report.peak_bytes < none.report.peak_bytes);
@@ -66,13 +68,11 @@ fn checkpointing_reduces_peak_and_adds_recompute() {
 #[test]
 fn oom_reported_when_over_capacity() {
     let p = profile(300);
-    let dev = DeviceProfile::v100();
-    let run = run_block_iteration(
+    // Capacity way below the no-checkpoint peak.
+    let run = block_run(
         &p,
         BlockMode::Plan(&CheckpointPlan::none(p.blocks.len())),
-        3 << 30, // way below the no-checkpoint peak
-        &dev,
-        0,
+        3 << 30,
         0,
     );
     assert!(!run.report.ok());
@@ -84,16 +84,13 @@ fn oom_reported_when_over_capacity() {
 #[test]
 fn shuttle_doubles_forward_time_and_measures() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
-    let plain = run_block_iteration(
+    let plain = block_run(
         &p,
         BlockMode::Plan(&CheckpointPlan::all(p.blocks.len())),
         64 << 30,
-        &dev,
-        0,
         0,
     );
-    let shuttle = run_block_iteration(&p, BlockMode::Shuttle, 64 << 30, &dev, 0, 0);
+    let shuttle = block_run(&p, BlockMode::Shuttle, 64 << 30, 0);
     assert!(shuttle.report.ok());
     let obs = shuttle.observations.as_ref().expect("shuttle observes");
     assert_eq!(obs.len(), p.blocks.len());
@@ -111,24 +108,16 @@ fn shuttle_doubles_forward_time_and_measures() {
 #[test]
 fn fine_plan_drops_partial_bytes() {
     let p = profile(200);
-    let dev = DeviceProfile::v100();
     let n = p.blocks.len();
     let mut fine = FinePlan::none(n);
     // Drop ~half of encoder 1's internals.
     fine.dropped_bytes[1] = p.blocks[1].act_bytes / 2;
     fine.recompute_flops[1] = p.blocks[1].fwd_flops / 2.0;
-    let run = run_block_iteration(&p, BlockMode::Fine(&fine), 64 << 30, &dev, 0, 0);
+    let run = block_run(&p, BlockMode::Fine(&fine), 64 << 30, 0);
     assert!(run.report.ok());
     assert!(run.report.dropped_units > 0);
     assert!(run.report.time.recompute_ns > 0);
-    let full = run_block_iteration(
-        &p,
-        BlockMode::Plan(&CheckpointPlan::none(n)),
-        64 << 30,
-        &dev,
-        0,
-        0,
-    );
+    let full = block_run(&p, BlockMode::Plan(&CheckpointPlan::none(n)), 64 << 30, 0);
     assert!(run.report.peak_bytes < full.report.peak_bytes);
 }
 
@@ -142,8 +131,8 @@ fn hybrid_swap_charges_transfer_not_recompute() {
     let mut rec_plan = HybridPlan::keep_all(n);
     rec_plan.actions[1] = BlockAction::Recompute;
 
-    let swap = run_block_iteration(&p, BlockMode::Hybrid(&swap_plan), 64 << 30, &dev, 0, 0);
-    let rec = run_block_iteration(&p, BlockMode::Hybrid(&rec_plan), 64 << 30, &dev, 0, 0);
+    let swap = block_run(&p, BlockMode::Hybrid(&swap_plan), 64 << 30, 0);
+    let rec = block_run(&p, BlockMode::Hybrid(&rec_plan), 64 << 30, 0);
     assert!(swap.report.ok() && rec.report.ok());
     // Identical memory behaviour...
     assert_eq!(swap.report.peak_bytes, rec.report.peak_bytes);
@@ -164,10 +153,9 @@ fn hybrid_swap_charges_transfer_not_recompute() {
 #[test]
 fn planning_ns_charged_to_clock() {
     let p = profile(64);
-    let dev = DeviceProfile::v100();
     let plan = CheckpointPlan::none(p.blocks.len());
-    let without = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 0);
-    let with = run_block_iteration(&p, BlockMode::Plan(&plan), 64 << 30, &dev, 0, 123_456);
+    let without = block_run(&p, BlockMode::Plan(&plan), 64 << 30, 0);
+    let with = block_run(&p, BlockMode::Plan(&plan), 64 << 30, 123_456);
     assert_eq!(
         with.report.time.total_ns(),
         without.report.time.total_ns() + 123_456
@@ -177,11 +165,12 @@ fn planning_ns_charged_to_clock() {
 #[test]
 fn recorded_stream_folds_back_to_the_report() {
     let p = profile(128);
-    let dev = DeviceProfile::v100();
     let plan = CheckpointPlan::from_indices(p.blocks.len(), &[1, 3, 5]).unwrap();
     let capacity = 64usize << 30;
-    let (run, events, stats) =
-        run_block_iteration_recorded(&p, BlockMode::Plan(&plan), capacity, &dev, 0, 777);
+    let (run, events, stats) = BlockIteration::with_mode(&p, BlockMode::Plan(&plan))
+        .capacity(capacity)
+        .planning_ns(777)
+        .run_recorded();
     assert!(run.report.ok());
     let f = fold_events(capacity, &events);
     assert_eq!(f.time, run.report.time);

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example object_detection`
 
 use mimose::core::{MimoseConfig, MimosePolicy};
-use mimose::exec::Trainer;
-use mimose::planner::SublinearPolicy;
+use mimose::exec::Session;
+use mimose::planner::{MemoryPolicy, SublinearPolicy};
 use mimose_exp::tasks::Task;
 
 fn main() {
@@ -36,16 +36,19 @@ fn main() {
     println!();
 
     // Mimose vs the conservative static plan.
-    let mut mimose = MimosePolicy::new(MimoseConfig::with_budget(budget));
-    let s_mimose = Trainer::new(&task.model, &task.dataset, &mut mimose, 9)
-        .run_summary(iters)
-        .expect("run");
-
+    let summary = |policy: Box<dyn MemoryPolicy>| {
+        Session::builder(&task.model, &task.dataset)
+            .policy_boxed(policy)
+            .seed(9)
+            .build()
+            .and_then(|mut s| s.run_summary(iters))
+            .expect("run")
+    };
+    let s_mimose = summary(Box::new(MimosePolicy::new(MimoseConfig::with_budget(
+        budget,
+    ))));
     let worst = task.worst_profile();
-    let mut sublinear = SublinearPolicy::plan_offline(&worst, budget);
-    let s_sub = Trainer::new(&task.model, &task.dataset, &mut sublinear, 9)
-        .run_summary(iters)
-        .expect("run");
+    let s_sub = summary(Box::new(SublinearPolicy::plan_offline(&worst, budget)));
 
     println!("planner    total(s)  peak(GiB)  frag(GiB)  recompute%");
     for (name, s) in [("Mimose", &s_mimose), ("Sublinear", &s_sub)] {

@@ -8,7 +8,7 @@
 use crate::planners::{build_policy, PlannerKind};
 use crate::table::render_table;
 use crate::tasks::Task;
-use mimose_exec::Trainer;
+use mimose_exec::Session;
 use mimose_simgpu::DeviceProfile;
 
 /// One (device, planner) cell.
@@ -35,10 +35,14 @@ pub fn run(budget: usize, iters: usize) -> Vec<DeviceRow> {
         ("A100", DeviceProfile::a100()),
     ] {
         let total = |kind: PlannerKind| -> u64 {
-            let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 17);
-            tr.device = dev.clone();
-            tr.run_summary(iters).expect("device run").total_ns
+            Session::builder(&task.model, &task.dataset)
+                .policy_boxed(build_policy(kind, &task, budget))
+                .device(dev.clone())
+                .seed(17)
+                .build()
+                .and_then(|mut s| s.run_summary(iters))
+                .expect("device run")
+                .total_ns
         };
         let base = total(PlannerKind::Baseline);
         for kind in [

@@ -9,8 +9,8 @@
 
 use crate::table::{gib, ms, render_table};
 use crate::tasks::Task;
-use mimose_exec::Trainer;
-use mimose_planner::{BlockAction, CapuchinPolicy, SublinearPolicy};
+use mimose_exec::Session;
+use mimose_planner::{BlockAction, CapuchinPolicy, MemoryPolicy, SublinearPolicy};
 use mimose_simgpu::DeviceProfile;
 
 /// One bandwidth point.
@@ -45,15 +45,17 @@ pub fn run(budget: usize, iters: usize, bandwidths: &[f64]) -> Vec<HybridRow> {
             let swapped = cap.plan().count(BlockAction::Swap);
             let recomputed = cap.plan().count(BlockAction::Recompute);
 
-            let mut cap_pol = cap;
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut cap_pol, 61);
-            tr.device = dev.clone();
-            let hybrid = tr.run_summary(iters).expect("hybrid run");
-
-            let mut sub = SublinearPolicy::plan_offline(&worst, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, &mut sub, 61);
-            tr.device = dev;
-            let sublinear = tr.run_summary(iters).expect("sublinear run");
+            let summary = |policy: Box<dyn MemoryPolicy>| {
+                Session::builder(&task.model, &task.dataset)
+                    .policy_boxed(policy)
+                    .device(dev.clone())
+                    .seed(61)
+                    .build()
+                    .and_then(|mut s| s.run_summary(iters))
+            };
+            let hybrid = summary(Box::new(cap)).expect("hybrid run");
+            let sublinear = summary(Box::new(SublinearPolicy::plan_offline(&worst, budget)))
+                .expect("sublinear run");
 
             HybridRow {
                 bandwidth: bw,

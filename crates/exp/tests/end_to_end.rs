@@ -3,9 +3,19 @@
 //! dynamic workloads, and the whole simulation is deterministic.
 
 use mimose::core::{MimoseConfig, MimosePolicy};
-use mimose::exec::Trainer;
+use mimose::exec::Session;
+use mimose::planner::MemoryPolicy;
 use mimose_exp::planners::{build_policy, PlannerKind};
 use mimose_exp::tasks::Task;
+
+/// A session over `task`'s model and dataset.
+fn session<'a>(task: &'a Task, policy: impl MemoryPolicy + 'a, seed: u64) -> Session<'a> {
+    Session::builder(&task.model, &task.dataset)
+        .policy(policy)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
 
 #[test]
 fn every_planner_runs_every_task() {
@@ -17,7 +27,7 @@ fn every_planner_runs_every_task() {
         };
         for kind in PlannerKind::comparison_set() {
             let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 13);
+            let mut tr = session(&task, policy.as_mut(), 13);
             let s = tr.run_summary(25).unwrap();
             assert!(s.total_ns > 0, "{} / {}", task.abbr, kind.name());
             // Some planners legitimately OOM (static plans on OD); the run
@@ -32,7 +42,7 @@ fn mimose_honours_budget_on_all_nlp_tasks() {
     for task in Task::nlp() {
         let budget = 6usize << 30;
         let mut policy = MimosePolicy::new(MimoseConfig::with_budget(budget));
-        let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, 29);
+        let mut tr = session(&task, &mut policy, 29);
         for r in tr.run(80).unwrap() {
             assert!(r.ok(), "{}: OOM at iter {}", task.abbr, r.iter);
             assert!(
@@ -55,7 +65,7 @@ fn mimose_beats_sublinear_on_every_nlp_task() {
         let iters = 150;
         let total = |kind: PlannerKind| {
             let mut policy = build_policy(kind, &task, budget);
-            let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 55);
+            let mut tr = session(&task, policy.as_mut(), 55);
             tr.run_summary(iters).unwrap().total_ns
         };
         let mim = total(PlannerKind::Mimose);
@@ -75,7 +85,7 @@ fn simulation_is_deterministic() {
     let task = Task::tc_bert();
     let run = || {
         let mut policy = build_policy(PlannerKind::Sublinear, &task, 5 << 30);
-        let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 1234);
+        let mut tr = session(&task, policy.as_mut(), 1234);
         let s = tr.run_summary(60).unwrap();
         (s.total_ns, s.max_peak_bytes, s.max_frag_bytes)
     };
@@ -89,7 +99,7 @@ fn dtr_budget_violations_are_visible() {
     let task = Task::mc_roberta();
     let budget = (4.5 * (1u64 << 30) as f64) as usize;
     let mut policy = build_policy(PlannerKind::Dtr, &task, budget);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 77);
+    let mut tr = session(&task, policy.as_mut(), 77);
     let s = tr.run_summary(60).unwrap();
     assert!(s.max_peak_bytes <= budget, "logical usage over budget");
     assert!(
@@ -104,7 +114,7 @@ fn knapsack_scheduler_is_a_working_alternative() {
     let task = Task::tc_bert();
     let budget = 5usize << 30;
     let mut policy = build_policy(PlannerKind::MimoseKnapsack, &task, budget);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 21);
+    let mut tr = session(&task, policy.as_mut(), 21);
     let s = tr.run_summary(80).unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
@@ -120,7 +130,7 @@ fn capuchin_hybrid_runs_within_budget() {
     let mut policy = CapuchinPolicy::plan_offline(&worst, budget, &DeviceProfile::v100());
     assert!(policy.is_feasible());
     let actions = policy.plan().clone();
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut policy, 41);
+    let mut tr = session(&task, &mut policy, 41);
     let s = tr.run_summary(60).unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
@@ -137,8 +147,7 @@ fn adaptive_mimose_matches_base_on_stationary_data() {
     let task = Task::mc_roberta();
     let budget = 6usize << 30;
     let mut pol = MimosePolicy::new(MimoseConfig::with_budget_adaptive(budget));
-    let mut tr = Trainer::new(&task.model, &task.dataset, &mut pol, 19);
-    let s = tr.run_summary(120).unwrap();
+    let s = session(&task, &mut pol, 19).run_summary(120).unwrap();
     assert_eq!(s.oom_iters, 0);
     assert!(s.max_peak_bytes <= budget);
     assert_eq!(pol.stats().recollections, 0, "stationary data re-collected");
@@ -149,7 +158,7 @@ fn csv_export_round_trips_run_length() {
     use mimose_exp::csv::iterations_to_csv;
     let task = Task::qa_bert();
     let mut policy = build_policy(PlannerKind::Mimose, &task, 6 << 30);
-    let mut tr = Trainer::new(&task.model, &task.dataset, policy.as_mut(), 5);
+    let mut tr = session(&task, policy.as_mut(), 5);
     let reports = tr.run(30).unwrap();
     let csv = iterations_to_csv(&reports);
     assert_eq!(csv.lines().count(), 31);

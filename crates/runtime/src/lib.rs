@@ -21,6 +21,10 @@
 //! it live, and `mimose-audit` replays it through an independent shadow
 //! allocator. [`MaterializationPolicy`] is the seam where the engines
 //! differ — how pressure is relieved at an allocation site.
+//!
+//! Three recorders cover every use: [`NullRecorder`] for plain runs,
+//! [`EventLog`] for every recorded run, and [`Tee`] to run a shadow
+//! checker beside either.
 
 #![warn(missing_docs)]
 
@@ -30,7 +34,6 @@ mod fold;
 mod live;
 mod policy;
 mod report;
-mod ring;
 
 pub use engine::{EngineCore, ReportMeta};
 pub use event::{ClockChannel, EventLog, ExecEvent, NullRecorder, Recorder, Tee};
@@ -38,7 +41,6 @@ pub use fold::{fold_events, EventFold};
 pub use live::LiveBlock;
 pub use policy::{policy_alloc, AllocFail, AllocSite, MaterializationPolicy, NoRelief};
 pub use report::{IterationReport, OomReport, RunSummary, TimeBreakdown};
-pub use ring::RingRecorder;
 
 /// The single alignment rule of the whole system, re-exported from the
 /// arena: round up to the 512 B granule, minimum one granule, saturating
