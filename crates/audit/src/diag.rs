@@ -4,6 +4,8 @@
 //! them (the `audit` binary prints JSON and exits non-zero on any
 //! [`Severity::Error`]).
 
+use mimose_runtime::json;
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -89,17 +91,15 @@ impl Diagnostic {
         }
     }
 
-    /// Render as a single JSON object (no external JSON crate — the
-    /// diagnostic shape is flat strings, so escaping by hand is safe).
+    /// Render as a single JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"severity\":\"{}\",\"check\":\"{}\",\"subject\":\"{}\",\"message\":\"{}\"}}",
-            self.severity.label(),
-            json_escape(self.check),
-            json_escape(&self.subject),
-            json_escape(&self.message),
-        )
+        json::object(64 + self.subject.len() + self.message.len(), |w| {
+            w.field("severity", self.severity.label())
+                .field("check", self.check)
+                .field("subject", &self.subject)
+                .field("message", &self.message);
+        })
     }
 }
 
@@ -111,38 +111,6 @@ impl std::fmt::Display for Diagnostic {
             self.severity, self.check, self.subject, self.message
         )
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a slice of diagnostics as a JSON array.
-#[must_use]
-pub fn to_json_array(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&d.to_json());
-    }
-    out.push(']');
-    out
 }
 
 /// Whether any diagnostic is an [`Severity::Error`].
@@ -168,8 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn diagnostic_json_escapes_specials() {
         let d = Diagnostic::error("double-free", "event 3", "id 7 freed \"twice\"");
         let j = d.to_json();
         assert!(j.contains("\\\"twice\\\""), "{j}");
@@ -177,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn array_rendering_and_predicates() {
+    fn error_predicates() {
         let diags = vec![
             Diagnostic::info("leak", "end", "1 live allocation"),
             Diagnostic::error("double-free", "event 3", "boom"),
@@ -185,9 +152,5 @@ mod tests {
         assert!(has_errors(&diags));
         assert_eq!(max_severity(&diags), Some(Severity::Error));
         assert!(!has_errors(&diags[..1]));
-        let arr = to_json_array(&diags);
-        assert!(arr.starts_with('[') && arr.ends_with(']'));
-        assert_eq!(arr.matches("severity").count(), 2);
-        assert_eq!(to_json_array(&[]), "[]");
     }
 }

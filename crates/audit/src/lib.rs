@@ -54,7 +54,7 @@ mod statics;
 mod trace;
 
 pub use cluster::lint_cluster;
-pub use diag::{has_errors, json_escape, max_severity, to_json_array, Diagnostic, Severity};
+pub use diag::{has_errors, max_severity, Diagnostic, Severity};
 pub use exec_stream::audit_exec_events;
 pub use lint::{lint_fine_plan, lint_hybrid_plan, lint_plan};
 pub use profile::lint_profile;

@@ -6,12 +6,13 @@
 //!
 //! Beyond the Criterion surface, the harness emits machine-readable results:
 //! [`Criterion::write_json`] dumps every measurement (with optional
-//! [`BenchMeta`] — problem size in blocks, allocator ops per iteration) as a
-//! hand-rolled JSON document, and `criterion_main!` honours two env vars:
-//! `MIMOSE_BENCH_JSON=<path>` writes the JSON there, and
+//! [`BenchMeta`] — problem size in blocks, allocator ops per iteration) as
+//! JSON through `mimose_runtime::json`, and `criterion_main!` honours two
+//! env vars: `MIMOSE_BENCH_JSON=<path>` writes the JSON there, and
 //! `MIMOSE_BENCH_SMOKE=1` shrinks sampling to a fast smoke run so CI can
 //! exercise every bench target without paying full measurement cost.
 
+use mimose_runtime::json;
 use std::io::Write;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -128,20 +129,6 @@ pub struct Criterion {
     entries: Vec<Entry>,
 }
 
-/// Escape a string for a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Criterion {
     /// Run one named benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
@@ -180,40 +167,31 @@ impl Criterion {
         }
     }
 
-    /// Serialise all measurements as a JSON document (no external deps, so
-    /// the document is hand-rolled): suite name plus one record per bench
-    /// with the median iteration time and any metadata.
+    /// Serialise all measurements as a JSON document: suite name plus one
+    /// record per bench with the median iteration time and any metadata.
     #[must_use]
     pub fn to_json(&self, suite: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
-        out.push_str(&format!("  \"smoke\": {},\n", smoke_mode()));
-        out.push_str("  \"results\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\"", json_escape(&e.name)));
-            out.push_str(&format!(", \"median_ns\": {:.1}", e.ns_per_iter));
-            if let Some(blocks) = e.meta.blocks {
-                out.push_str(&format!(", \"blocks\": {blocks}"));
-            }
-            if let Some(ops) = e.meta.ops_per_iter {
-                out.push_str(&format!(", \"ops_per_iter\": {ops}"));
-                if e.ns_per_iter > 0.0 {
-                    out.push_str(&format!(
-                        ", \"ops_per_sec\": {:.1}",
-                        ops as f64 / (e.ns_per_iter * 1e-9)
-                    ));
-                }
-            }
-            out.push('}');
-            if i + 1 < self.entries.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::object(64 + 128 * self.entries.len(), |w| {
+            w.field("suite", suite)
+                .field("smoke", smoke_mode())
+                .key("results")
+                .array(|w| {
+                    for e in &self.entries {
+                        w.object(|w| {
+                            w.field("name", &e.name).field("median_ns", e.ns_per_iter);
+                            if let Some(blocks) = e.meta.blocks {
+                                w.field("blocks", blocks);
+                            }
+                            if let Some(ops) = e.meta.ops_per_iter {
+                                w.field("ops_per_iter", ops);
+                                if e.ns_per_iter > 0.0 {
+                                    w.field("ops_per_sec", ops as f64 / (e.ns_per_iter * 1e-9));
+                                }
+                            }
+                        });
+                    }
+                });
+        })
     }
 
     /// Write the JSON report to `path`.

@@ -95,31 +95,6 @@ impl FaultSpec {
             && self.alloc_failure_rate == 0.0
             && self.recompute_spike_rate == 0.0
     }
-
-    /// Deterministic JSON encoding (stable field order, fixed-precision
-    /// floats) so fault schedules can be embedded in run reports.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let shrink = match self.capacity_shrink {
-            Some((at, f)) => format!("{{\"at_iter\":{at},\"factor\":{f:.4}}}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"seed\":{},\"estimator_bias\":{:.4},\"estimator_noise\":{:.4},\
-             \"capacity_shrink\":{},\"alloc_failure_rate\":{:.4},\
-             \"alloc_failures_per_iter\":{},\"alloc_failure_span\":{},\
-             \"recompute_spike_rate\":{:.4},\"recompute_spike_factor\":{:.4}}}",
-            self.seed,
-            self.estimator_bias,
-            self.estimator_noise,
-            shrink,
-            self.alloc_failure_rate,
-            self.alloc_failures_per_iter,
-            self.alloc_failure_span,
-            self.recompute_spike_rate,
-            self.recompute_spike_factor,
-        )
-    }
 }
 
 /// A device-lifecycle fault in a fleet plan, indexed by **virtual time**
@@ -335,42 +310,6 @@ impl FleetFaultPlan {
             return None;
         }
         Some(FaultInjector::new(self.spec_for(device)))
-    }
-
-    /// Deterministic JSON encoding of the whole plan (base spec plus
-    /// device-lifecycle faults), embedded in cluster reports so a gated
-    /// chaos run's evidence is self-describing.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(256);
-        o.push_str("{\"base\":");
-        o.push_str(&self.base.to_json());
-        o.push_str(",\"timed_faults\":[");
-        for (i, (d, fault)) in self.timed_faults.iter().enumerate() {
-            o.push_str(&format!("{{\"device\":{d},"));
-            match *fault {
-                TimedDeviceFault::Down { at_ns, duration_ns } => o.push_str(&format!(
-                    "\"kind\":\"down\",\"at_ns\":{at_ns},\"duration_ns\":{duration_ns}"
-                )),
-                TimedDeviceFault::Lost { at_ns } => {
-                    o.push_str(&format!("\"kind\":\"lost\",\"at_ns\":{at_ns}"));
-                }
-                TimedDeviceFault::CapacityCollapse {
-                    at_ns,
-                    duration_ns,
-                    factor,
-                } => o.push_str(&format!(
-                    "\"kind\":\"capacity-collapse\",\"at_ns\":{at_ns},\
-                     \"duration_ns\":{duration_ns},\"factor\":{factor:.4}"
-                )),
-            }
-            o.push('}');
-            if i + 1 < self.timed_faults.len() {
-                o.push(',');
-            }
-        }
-        o.push_str("]}");
-        o
     }
 }
 
@@ -625,42 +564,6 @@ mod tests {
         assert_eq!(plan.next_transition_after_ns(7_000), Some(8_000));
         assert_eq!(plan.next_transition_after_ns(8_000), None);
         assert_eq!(FleetFaultPlan::none(0).next_transition_after_ns(0), None);
-    }
-
-    #[test]
-    fn plan_json_is_stable_and_self_describing() {
-        let plan = FleetFaultPlan::new(FaultSpec {
-            capacity_shrink: Some((4, 0.75)),
-            ..FaultSpec::none(7)
-        })
-        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 2 })
-        .with_timed_fault(
-            0,
-            TimedDeviceFault::Down {
-                at_ns: 1_000,
-                duration_ns: 500,
-            },
-        )
-        .with_timed_fault(
-            2,
-            TimedDeviceFault::CapacityCollapse {
-                at_ns: 100,
-                duration_ns: 300,
-                factor: 0.25,
-            },
-        );
-        let a = plan.to_json();
-        assert_eq!(a, plan.to_json());
-        assert!(a.contains("\"seed\":7"));
-        assert!(a.contains("\"capacity_shrink\":{\"at_iter\":4,\"factor\":0.7500}"));
-        assert!(a.contains("\"kind\":\"lost\",\"at_ns\":2"));
-        assert!(a.contains("\"kind\":\"down\",\"at_ns\":1000,\"duration_ns\":500"));
-        assert!(a.contains("\"factor\":0.2500"));
-        assert!(a.starts_with('{') && a.ends_with('}'));
-        // The no-op plan serializes too (evidence of "no faults" is still
-        // evidence).
-        let none = FleetFaultPlan::none(0).to_json();
-        assert!(none.contains("\"timed_faults\":[]"));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 
 use crate::admission::AdmissionStats;
 use crate::events::{FleetEvent, FleetEventKind};
-use mimose_chaos::FleetFaultPlan;
+use mimose_chaos::{FleetFaultPlan, TimedDeviceFault};
 use mimose_data::ArrivalProcess;
 use mimose_planner::PlanTierStats;
+use mimose_runtime::json::{self, Json};
 
 /// How a job's cluster run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -326,77 +327,45 @@ pub struct ClusterReport {
     pub jobs: Vec<JobReport>,
 }
 
-fn push_kv_u(out: &mut String, key: &str, v: u128, comma: bool) {
-    out.push_str(&format!("\"{key}\":{v}"));
-    if comma {
-        out.push(',');
-    }
-}
-
-fn push_kv_f(out: &mut String, key: &str, v: f64, comma: bool) {
-    out.push_str(&format!("\"{key}\":{v:.4}"));
-    if comma {
-        out.push(',');
-    }
-}
-
-fn push_kv_s(out: &mut String, key: &str, v: &str, comma: bool) {
-    // Names here are identifier-like; escape the two JSON-critical chars
-    // anyway so arbitrary job names stay well-formed.
-    let escaped = v.replace('\\', "\\\\").replace('"', "\\\"");
-    out.push_str(&format!("\"{key}\":\"{escaped}\""));
-    if comma {
-        out.push(',');
-    }
-}
-
-fn push_event(o: &mut String, e: &FleetEvent) {
-    o.push('{');
-    push_kv_u(o, "round", e.round as u128, true);
-    push_kv_u(o, "at_ns", u128::from(e.at_ns), true);
-    push_kv_s(o, "kind", e.kind.tag(), true);
+fn event_fields(w: &mut Json, e: &FleetEvent) {
+    w.field("round", e.round)
+        .field("at_ns", e.at_ns)
+        .field("kind", e.kind.tag());
     match &e.kind {
         FleetEventKind::Arrive { job } => {
-            push_kv_u(o, "job", *job as u128, true);
+            w.field("job", job);
         }
         FleetEventKind::Dispatch { job, device, seq } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "device", *device as u128, true);
-            push_kv_u(o, "seq", *seq as u128, true);
+            w.field("job", job)
+                .field("device", device)
+                .field("seq", seq);
         }
         FleetEventKind::Complete { job, device } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "device", *device as u128, true);
+            w.field("job", job).field("device", device);
         }
         FleetEventKind::DeviceDown {
             device,
             until_round,
         } => {
-            push_kv_u(o, "device", *device as u128, true);
-            match until_round {
-                Some(r) => push_kv_u(o, "until_round", *r as u128, true),
-                None => o.push_str("\"until_round\":null,"),
-            }
+            w.field("device", device).field("until_round", until_round);
         }
         FleetEventKind::DeviceUp { device } => {
-            push_kv_u(o, "device", *device as u128, true);
+            w.field("device", device);
         }
         FleetEventKind::Checkpoint {
             job,
             device,
             cursor,
         } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "device", *device as u128, true);
-            push_kv_u(o, "cursor", *cursor as u128, true);
+            w.field("job", job)
+                .field("device", device)
+                .field("cursor", cursor);
         }
         FleetEventKind::Requeue { job, retries } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "retries", *retries as u128, true);
+            w.field("job", job).field("retries", retries);
         }
         FleetEventKind::Backoff { job, until_round } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "until_round", *until_round as u128, true);
+            w.field("job", job).field("until_round", until_round);
         }
         FleetEventKind::Migrate {
             job,
@@ -405,255 +374,240 @@ fn push_event(o: &mut String, e: &FleetEvent) {
             cursor,
             seq,
         } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_u(o, "from", *from as u128, true);
-            push_kv_u(o, "to", *to as u128, true);
-            push_kv_u(o, "cursor", *cursor as u128, true);
-            push_kv_u(o, "seq", *seq as u128, true);
+            w.field("job", job)
+                .field("from", from)
+                .field("to", to)
+                .field("cursor", cursor)
+                .field("seq", seq);
         }
         FleetEventKind::Reject { job, reason }
         | FleetEventKind::Shed { job, reason }
         | FleetEventKind::Fail { job, reason } => {
-            push_kv_u(o, "job", *job as u128, true);
-            push_kv_s(o, "reason", reason, true);
+            w.field("job", job).field("reason", reason);
         }
     }
-    push_kv_u(o, "cost_ns", u128::from(e.cost_ns), false);
-    o.push('}');
+    w.field("cost_ns", e.cost_ns);
+}
+
+/// The arrival-process descriptor embedded in the report: kind plus the
+/// parameters that regenerate the offsets (a trace reports its length).
+fn arrival_fields(w: &mut Json, a: &ArrivalProcess) {
+    match a {
+        ArrivalProcess::Immediate => {
+            w.field("kind", "immediate");
+        }
+        ArrivalProcess::Poisson { mean_gap_ns, seed } => {
+            w.field("kind", "poisson")
+                .field("mean_gap_ns", mean_gap_ns)
+                .field("seed", seed);
+        }
+        ArrivalProcess::Bursty {
+            calm_gap_ns,
+            burst_gap_ns,
+            mean_phase_len,
+            seed,
+        } => {
+            w.field("kind", "bursty")
+                .field("calm_gap_ns", calm_gap_ns)
+                .field("burst_gap_ns", burst_gap_ns)
+                .field("mean_phase_len", mean_phase_len)
+                .field("seed", seed);
+        }
+        ArrivalProcess::Sampled { unit_ns, seed, .. } => {
+            w.field("kind", "sampled")
+                .field("unit_ns", unit_ns)
+                .field("seed", seed);
+        }
+        ArrivalProcess::Trace { offsets_ns } => {
+            w.field("kind", "trace").field("len", offsets_ns.len());
+        }
+    }
+}
+
+/// The fault plan embedded in the report: the base per-iteration spec
+/// plus every device-lifecycle fault, so a chaos run's evidence is
+/// self-describing.
+fn fault_plan_fields(w: &mut Json, plan: &FleetFaultPlan) {
+    let b = plan.base();
+    w.key("base").object(|w| {
+        w.field("seed", b.seed)
+            .field("estimator_bias", b.estimator_bias)
+            .field("estimator_noise", b.estimator_noise)
+            .key("capacity_shrink");
+        match b.capacity_shrink {
+            Some((at_iter, factor)) => w.object(|w| {
+                w.field("at_iter", at_iter).field("factor", factor);
+            }),
+            None => w.null(),
+        };
+        w.field("alloc_failure_rate", b.alloc_failure_rate)
+            .field("alloc_failures_per_iter", b.alloc_failures_per_iter)
+            .field("alloc_failure_span", b.alloc_failure_span)
+            .field("recompute_spike_rate", b.recompute_spike_rate)
+            .field("recompute_spike_factor", b.recompute_spike_factor);
+    });
+    w.key("timed_faults").array(|w| {
+        for (device, fault) in plan.timed_faults() {
+            w.object(|w| {
+                w.field("device", device);
+                match *fault {
+                    TimedDeviceFault::Down { at_ns, duration_ns } => {
+                        w.field("kind", "down")
+                            .field("at_ns", at_ns)
+                            .field("duration_ns", duration_ns);
+                    }
+                    TimedDeviceFault::Lost { at_ns } => {
+                        w.field("kind", "lost").field("at_ns", at_ns);
+                    }
+                    TimedDeviceFault::CapacityCollapse {
+                        at_ns,
+                        duration_ns,
+                        factor,
+                    } => {
+                        w.field("kind", "capacity-collapse")
+                            .field("at_ns", at_ns)
+                            .field("duration_ns", duration_ns)
+                            .field("factor", factor);
+                    }
+                }
+            });
+        }
+    });
+}
+
+fn job_fields(w: &mut Json, j: &JobReport) {
+    w.field("name", &j.name)
+        .field("policy", &j.policy)
+        .field("budget_bytes", j.budget_bytes)
+        .field("device", j.device)
+        .field("outcome", j.outcome.tag())
+        .field("demoted", j.demoted)
+        .field("iters", j.iters)
+        .field("arrival_ns", j.arrival_ns)
+        .field("queue_wait_ns", j.queue_wait_ns)
+        .field("finish_ns", j.finish_ns)
+        .field("total_ns", j.total_ns)
+        .field("max_peak_bytes", j.max_peak_bytes)
+        .field("oom_iters", j.oom_iters)
+        .field("recovered_iters", j.recovered_iters)
+        .field("recovery_events", j.recovery_events)
+        .field("shuttle_iters", j.shuttle_iters)
+        .field("migrations", j.migrations)
+        .field("retries", j.retries)
+        .field("fleet_overhead_ns", j.fleet_overhead_ns)
+        .field("graph_raw_peak_bytes", j.graph_raw_peak_bytes)
+        .field("graph_opt_peak_bytes", j.graph_opt_peak_bytes)
+        .field("admission_reason", j.admission_reason.as_deref())
+        .key("placements")
+        .array(|w| {
+            for p in &j.placements {
+                w.object(|w| {
+                    w.field("device", p.device)
+                        .field("busy_ns", p.busy_ns)
+                        .field("iters", p.iters);
+                });
+            }
+        })
+        .key("plan_tiers");
+    match &j.plan_tiers {
+        Some(t) => w.object(|w| {
+            w.field("certified_hits", t.certified_hits)
+                .field("cache_hits", t.cache_hits)
+                .field("repaired_plans", t.repaired_plans)
+                .field("cold_solves", t.cold_solves);
+        }),
+        None => w.null(),
+    };
 }
 
 impl ClusterReport {
     /// Deterministic JSON encoding (see module docs).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push('{');
-        push_kv_s(&mut o, "schedule", &self.schedule, true);
-        push_kv_s(&mut o, "mode", &self.mode, true);
-        push_kv_u(&mut o, "rounds", self.rounds as u128, true);
-        push_kv_u(&mut o, "makespan_ns", self.makespan_ns as u128, true);
-        push_kv_u(&mut o, "busy_ns", self.busy_ns as u128, true);
-        push_kv_f(&mut o, "utilization_pct", self.utilization_pct, true);
-        push_kv_u(
-            &mut o,
-            "mean_queue_wait_ns",
-            self.mean_queue_wait_ns as u128,
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "max_queue_wait_ns",
-            self.max_queue_wait_ns as u128,
-            true,
-        );
-        push_kv_u(&mut o, "oom_iters", self.oom_iters as u128, true);
-        push_kv_u(
-            &mut o,
-            "recovered_iters",
-            self.recovered_iters as u128,
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "recovery_events",
-            self.recovery_events as u128,
-            true,
-        );
-
-        o.push_str("\"admission\":{");
-        let a = &self.admission;
-        push_kv_u(&mut o, "admitted", a.admitted as u128, true);
-        push_kv_u(&mut o, "verified_admits", a.verified_admits as u128, true);
-        push_kv_u(&mut o, "demoted", a.demoted as u128, true);
-        push_kv_u(&mut o, "rejected", a.rejected as u128, true);
-        push_kv_u(&mut o, "deferred_rounds", a.deferred_rounds as u128, true);
-        push_kv_u(&mut o, "predictions", a.predictions as u128, true);
-        push_kv_u(&mut o, "within_10pct", a.within_10pct as u128, true);
-        push_kv_f(
-            &mut o,
-            "mean_abs_rel_err_pct",
-            a.mean_abs_rel_err_pct(),
-            false,
-        );
-        o.push_str("},");
-
-        o.push_str("\"slo\":{");
-        let s = &self.slo;
-        push_kv_u(
-            &mut o,
-            "queue_wait_p50_ns",
-            u128::from(s.queue_wait_p50_ns),
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "queue_wait_p95_ns",
-            u128::from(s.queue_wait_p95_ns),
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "queue_wait_p99_ns",
-            u128::from(s.queue_wait_p99_ns),
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "iter_latency_p50_ns",
-            u128::from(s.iter_latency_p50_ns),
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "iter_latency_p95_ns",
-            u128::from(s.iter_latency_p95_ns),
-            true,
-        );
-        push_kv_u(
-            &mut o,
-            "iter_latency_p99_ns",
-            u128::from(s.iter_latency_p99_ns),
-            true,
-        );
-        push_kv_u(&mut o, "goodput_iters", s.goodput_iters as u128, true);
-        push_kv_f(&mut o, "goodput_iters_per_s", s.goodput_iters_per_s, true);
-        push_kv_u(&mut o, "rejected_jobs", s.rejected_jobs as u128, true);
-        push_kv_u(&mut o, "shed_jobs", s.shed_jobs as u128, true);
-        push_kv_u(&mut o, "failed_jobs", s.failed_jobs as u128, true);
-        push_kv_f(&mut o, "rejection_rate_pct", s.rejection_rate_pct, true);
-        push_kv_f(&mut o, "shed_rate_pct", s.shed_rate_pct, false);
-        o.push_str("},");
-
-        o.push_str("\"fleet\":{");
-        let f = &self.fleet;
-        push_kv_u(&mut o, "devices_lost", f.devices_lost as u128, true);
-        push_kv_u(&mut o, "checkpoints", f.checkpoints as u128, true);
-        push_kv_u(&mut o, "migrations", f.migrations as u128, true);
-        push_kv_u(&mut o, "shed_jobs", f.shed_jobs as u128, true);
-        push_kv_u(&mut o, "failed_jobs", f.failed_jobs as u128, true);
-        push_kv_u(&mut o, "max_retries", f.max_retries as u128, true);
-        push_kv_u(&mut o, "overhead_ns", u128::from(f.overhead_ns), false);
-        o.push_str("},");
-
-        o.push_str("\"arrivals\":");
-        o.push_str(&self.arrivals.to_json());
-        o.push(',');
-
-        o.push_str("\"fault_plan\":");
-        o.push_str(&self.fault_plan.to_json());
-        o.push(',');
-
-        o.push_str("\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            push_event(&mut o, e);
-            if i + 1 < self.events.len() {
-                o.push(',');
-            }
-        }
-        o.push_str("],");
-
-        o.push_str("\"devices\":[");
-        for (i, d) in self.devices.iter().enumerate() {
-            o.push('{');
-            push_kv_u(&mut o, "index", d.index as u128, true);
-            push_kv_u(&mut o, "capacity_bytes", d.capacity_bytes as u128, true);
-            push_kv_u(&mut o, "busy_ns", d.busy_ns as u128, true);
-            push_kv_u(&mut o, "jobs_run", d.jobs_run as u128, true);
-            push_kv_u(&mut o, "iters", d.iters as u128, true);
-            o.push_str(&format!("\"lost\":{}", d.lost));
-            o.push('}');
-            if i + 1 < self.devices.len() {
-                o.push(',');
-            }
-        }
-        o.push_str("],");
-
-        o.push_str("\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            o.push('{');
-            push_kv_s(&mut o, "name", &j.name, true);
-            push_kv_s(&mut o, "policy", &j.policy, true);
-            match j.budget_bytes {
-                Some(b) => push_kv_u(&mut o, "budget_bytes", b as u128, true),
-                None => o.push_str("\"budget_bytes\":null,"),
-            }
-            match j.device {
-                Some(d) => push_kv_u(&mut o, "device", d as u128, true),
-                None => {
-                    o.push_str("\"device\":null,");
+        let bytes = 1024 + 96 * self.events.len() + 768 * self.jobs.len();
+        json::object(bytes, |w| {
+            w.field("schedule", &self.schedule)
+                .field("mode", &self.mode)
+                .field("rounds", self.rounds)
+                .field("makespan_ns", self.makespan_ns)
+                .field("busy_ns", self.busy_ns)
+                .field("utilization_pct", self.utilization_pct)
+                .field("mean_queue_wait_ns", self.mean_queue_wait_ns)
+                .field("max_queue_wait_ns", self.max_queue_wait_ns)
+                .field("oom_iters", self.oom_iters)
+                .field("recovered_iters", self.recovered_iters)
+                .field("recovery_events", self.recovery_events);
+            let a = &self.admission;
+            w.key("admission").object(|w| {
+                w.field("admitted", a.admitted)
+                    .field("verified_admits", a.verified_admits)
+                    .field("demoted", a.demoted)
+                    .field("rejected", a.rejected)
+                    .field("deferred_rounds", a.deferred_rounds)
+                    .field("predictions", a.predictions)
+                    .field("within_10pct", a.within_10pct)
+                    .field("mean_abs_rel_err_pct", a.mean_abs_rel_err_pct());
+            });
+            let s = &self.slo;
+            w.key("slo").object(|w| {
+                w.field("queue_wait_p50_ns", s.queue_wait_p50_ns)
+                    .field("queue_wait_p95_ns", s.queue_wait_p95_ns)
+                    .field("queue_wait_p99_ns", s.queue_wait_p99_ns)
+                    .field("iter_latency_p50_ns", s.iter_latency_p50_ns)
+                    .field("iter_latency_p95_ns", s.iter_latency_p95_ns)
+                    .field("iter_latency_p99_ns", s.iter_latency_p99_ns)
+                    .field("goodput_iters", s.goodput_iters)
+                    .field("goodput_iters_per_s", s.goodput_iters_per_s)
+                    .field("rejected_jobs", s.rejected_jobs)
+                    .field("shed_jobs", s.shed_jobs)
+                    .field("failed_jobs", s.failed_jobs)
+                    .field("rejection_rate_pct", s.rejection_rate_pct)
+                    .field("shed_rate_pct", s.shed_rate_pct);
+            });
+            let f = &self.fleet;
+            w.key("fleet").object(|w| {
+                w.field("devices_lost", f.devices_lost)
+                    .field("checkpoints", f.checkpoints)
+                    .field("migrations", f.migrations)
+                    .field("shed_jobs", f.shed_jobs)
+                    .field("failed_jobs", f.failed_jobs)
+                    .field("max_retries", f.max_retries)
+                    .field("overhead_ns", f.overhead_ns);
+            });
+            w.key("arrivals")
+                .object(|w| arrival_fields(w, &self.arrivals));
+            w.key("fault_plan")
+                .object(|w| fault_plan_fields(w, &self.fault_plan));
+            w.key("events").array(|w| {
+                for e in &self.events {
+                    w.object(|w| event_fields(w, e));
                 }
-            }
-            push_kv_s(&mut o, "outcome", j.outcome.tag(), true);
-            o.push_str(&format!("\"demoted\":{},", j.demoted));
-            push_kv_u(&mut o, "iters", j.iters as u128, true);
-            push_kv_u(&mut o, "arrival_ns", u128::from(j.arrival_ns), true);
-            push_kv_u(&mut o, "queue_wait_ns", j.queue_wait_ns as u128, true);
-            match j.finish_ns {
-                Some(t) => push_kv_u(&mut o, "finish_ns", u128::from(t), true),
-                None => o.push_str("\"finish_ns\":null,"),
-            }
-            push_kv_u(&mut o, "total_ns", j.total_ns as u128, true);
-            push_kv_u(&mut o, "max_peak_bytes", j.max_peak_bytes as u128, true);
-            push_kv_u(&mut o, "oom_iters", j.oom_iters as u128, true);
-            push_kv_u(&mut o, "recovered_iters", j.recovered_iters as u128, true);
-            push_kv_u(&mut o, "recovery_events", j.recovery_events as u128, true);
-            push_kv_u(&mut o, "shuttle_iters", j.shuttle_iters as u128, true);
-            push_kv_u(&mut o, "migrations", j.migrations as u128, true);
-            push_kv_u(&mut o, "retries", j.retries as u128, true);
-            push_kv_u(
-                &mut o,
-                "fleet_overhead_ns",
-                u128::from(j.fleet_overhead_ns),
-                true,
-            );
-            match j.graph_raw_peak_bytes {
-                Some(v) => push_kv_u(&mut o, "graph_raw_peak_bytes", v as u128, true),
-                None => o.push_str("\"graph_raw_peak_bytes\":null,"),
-            }
-            match j.graph_opt_peak_bytes {
-                Some(v) => push_kv_u(&mut o, "graph_opt_peak_bytes", v as u128, true),
-                None => o.push_str("\"graph_opt_peak_bytes\":null,"),
-            }
-            match &j.admission_reason {
-                Some(r) => push_kv_s(&mut o, "admission_reason", r, true),
-                None => o.push_str("\"admission_reason\":null,"),
-            }
-            o.push_str("\"placements\":[");
-            for (k, p) in j.placements.iter().enumerate() {
-                o.push('{');
-                push_kv_u(&mut o, "device", p.device as u128, true);
-                push_kv_u(&mut o, "busy_ns", u128::from(p.busy_ns), true);
-                push_kv_u(&mut o, "iters", p.iters as u128, false);
-                o.push('}');
-                if k + 1 < j.placements.len() {
-                    o.push(',');
+            });
+            w.key("devices").array(|w| {
+                for d in &self.devices {
+                    w.object(|w| {
+                        w.field("index", d.index)
+                            .field("capacity_bytes", d.capacity_bytes)
+                            .field("busy_ns", d.busy_ns)
+                            .field("jobs_run", d.jobs_run)
+                            .field("iters", d.iters)
+                            .field("lost", d.lost);
+                    });
                 }
-            }
-            o.push_str("],");
-            match &j.plan_tiers {
-                Some(t) => {
-                    o.push_str("\"plan_tiers\":{");
-                    push_kv_u(&mut o, "certified_hits", u128::from(t.certified_hits), true);
-                    push_kv_u(&mut o, "cache_hits", u128::from(t.cache_hits), true);
-                    push_kv_u(&mut o, "repaired_plans", u128::from(t.repaired_plans), true);
-                    push_kv_u(&mut o, "cold_solves", u128::from(t.cold_solves), false);
-                    o.push('}');
+            });
+            w.key("jobs").array(|w| {
+                for j in &self.jobs {
+                    w.object(|w| job_fields(w, j));
                 }
-                None => o.push_str("\"plan_tiers\":null"),
-            }
-            o.push('}');
-            if i + 1 < self.jobs.len() {
-                o.push(',');
-            }
-        }
-        o.push_str("]}");
-        o
+            });
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimose_chaos::FaultSpec;
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -723,7 +677,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_escapes_names() {
-        let jobs = vec![JobReport {
+        let mut jobs = vec![JobReport {
             name: "job \"a\"".into(),
             policy: "Baseline".into(),
             budget_bytes: Some(1 << 30),
@@ -766,6 +720,11 @@ mod tests {
             ],
         }];
         let slo = SloRollup::fold(&jobs, &[40, 50], 100);
+        jobs.push(JobReport {
+            name: "line\nbreak\u{1}".into(),
+            admission_reason: Some("demoted:\n\u{1}over".into()),
+            ..jobs[0].clone()
+        });
         let report = ClusterReport {
             schedule: "fifo".into(),
             mode: "event-driven".into(),
@@ -893,7 +852,59 @@ mod tests {
              {\"device\":0,\"busy_ns\":50,\"iters\":1}]"
         ));
         assert!(a.contains("\"lost\":false"));
+        assert!(a.contains("\"name\":\"line\\nbreak\\u0001\""));
+        assert!(a.contains("\"admission_reason\":\"demoted:\\n\\u0001over\""));
         assert!(a.starts_with('{') && a.ends_with('}'));
+    }
+
+    #[test]
+    fn arrival_descriptors_are_stable() {
+        let arrivals = |a: ArrivalProcess| json::object(0, |w| arrival_fields(w, &a));
+        assert_eq!(
+            arrivals(ArrivalProcess::immediate()),
+            "{\"kind\":\"immediate\"}"
+        );
+        assert_eq!(
+            arrivals(ArrivalProcess::poisson(5, 1)),
+            "{\"kind\":\"poisson\",\"mean_gap_ns\":5,\"seed\":1}"
+        );
+        assert!(arrivals(ArrivalProcess::bursty(10, 1, 4, 0)).contains("\"mean_phase_len\":4"));
+    }
+
+    #[test]
+    fn fault_plan_json_is_stable_and_self_describing() {
+        let plan = FleetFaultPlan::new(FaultSpec {
+            capacity_shrink: Some((4, 0.75)),
+            ..FaultSpec::none(7)
+        })
+        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 2 })
+        .with_timed_fault(
+            0,
+            TimedDeviceFault::Down {
+                at_ns: 1_000,
+                duration_ns: 500,
+            },
+        )
+        .with_timed_fault(
+            2,
+            TimedDeviceFault::CapacityCollapse {
+                at_ns: 100,
+                duration_ns: 300,
+                factor: 0.25,
+            },
+        );
+        let a = json::object(0, |w| fault_plan_fields(w, &plan));
+        assert_eq!(a, json::object(0, |w| fault_plan_fields(w, &plan)));
+        assert!(a.contains("\"seed\":7"));
+        assert!(a.contains("\"capacity_shrink\":{\"at_iter\":4,\"factor\":0.7500}"));
+        assert!(a.contains("\"kind\":\"lost\",\"at_ns\":2"));
+        assert!(a.contains("\"kind\":\"down\",\"at_ns\":1000,\"duration_ns\":500"));
+        assert!(a.contains("\"factor\":0.2500"));
+        assert!(a.starts_with('{') && a.ends_with('}'));
+        // The no-op plan serializes too (evidence of "no faults" is still
+        // evidence).
+        let none = json::object(0, |w| fault_plan_fields(w, &FleetFaultPlan::none(0)));
+        assert!(none.contains("\"timed_faults\":[]"));
     }
 
     #[test]

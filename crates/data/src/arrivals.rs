@@ -228,34 +228,6 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// Deterministic JSON descriptor (stable field order) so cluster
-    /// reports are self-describing about how their jobs arrived.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            ArrivalProcess::Immediate => "{\"kind\":\"immediate\"}".to_string(),
-            ArrivalProcess::Poisson { mean_gap_ns, seed } => {
-                format!("{{\"kind\":\"poisson\",\"mean_gap_ns\":{mean_gap_ns},\"seed\":{seed}}}")
-            }
-            ArrivalProcess::Bursty {
-                calm_gap_ns,
-                burst_gap_ns,
-                mean_phase_len,
-                seed,
-            } => format!(
-                "{{\"kind\":\"bursty\",\"calm_gap_ns\":{calm_gap_ns},\
-                 \"burst_gap_ns\":{burst_gap_ns},\"mean_phase_len\":{mean_phase_len},\
-                 \"seed\":{seed}}}"
-            ),
-            ArrivalProcess::Sampled { unit_ns, seed, .. } => {
-                format!("{{\"kind\":\"sampled\",\"unit_ns\":{unit_ns},\"seed\":{seed}}}")
-            }
-            ArrivalProcess::Trace { offsets_ns } => {
-                format!("{{\"kind\":\"trace\",\"len\":{}}}", offsets_ns.len())
-            }
-        }
-    }
 }
 
 /// One exponential draw with the given mean, by inverse CDF, rounded to
@@ -328,6 +300,7 @@ mod tests {
     #[test]
     fn trace_replays_sorts_and_extends() {
         let p = ArrivalProcess::trace(vec![3_000, 1_000, 2_000]);
+        assert_eq!(p.name(), "trace");
         // Sorted on construction, extended at the final gap (1000).
         assert_eq!(p.arrival_ns(5), vec![1_000, 2_000, 3_000, 4_000, 5_000]);
         assert_eq!(ArrivalProcess::trace(vec![]).arrival_ns(3), vec![0, 0, 0]);
@@ -344,21 +317,5 @@ mod tests {
         assert_eq!(p.arrival_ns(3), vec![1_000, 2_000, 3_000]);
         let err = ArrivalProcess::parse_trace("1000\nnope\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn json_descriptors_are_stable() {
-        assert_eq!(
-            ArrivalProcess::immediate().to_json(),
-            "{\"kind\":\"immediate\"}"
-        );
-        assert_eq!(
-            ArrivalProcess::poisson(5, 1).to_json(),
-            "{\"kind\":\"poisson\",\"mean_gap_ns\":5,\"seed\":1}"
-        );
-        assert_eq!(ArrivalProcess::trace(vec![1, 2]).name(), "trace");
-        assert!(ArrivalProcess::bursty(10, 1, 4, 0)
-            .to_json()
-            .contains("\"mean_phase_len\":4"));
     }
 }

@@ -24,6 +24,7 @@ use mimose::prelude::*;
 use mimose_audit::lint_cluster;
 use mimose_exp::fleetgate::fleet_matches_session;
 use mimose_exp::table::{gib, ms, render_table};
+use mimose_runtime::json;
 use std::path::Path;
 
 const USAGE: &str = "\
@@ -233,28 +234,25 @@ struct ScalePoint {
 }
 
 fn bench_json(iters: usize, points: &[ScalePoint]) -> String {
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str("  \"suite\": \"cluster\",\n");
-    o.push_str("  \"workload\": \"mixed-8job\",\n");
-    o.push_str(&format!("  \"iters_per_job\": {iters},\n"));
-    o.push_str("  \"schedule\": \"fifo\",\n");
-    o.push_str("  \"scaling\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        o.push_str(&format!(
-            "    {{\"devices\": {}, \"makespan_ns\": {}, \"busy_ns\": {}, \
-             \"utilization_pct\": {:.4}, \"mean_queue_wait_ns\": {}, \"rounds\": {}}}{}\n",
-            p.devices,
-            p.makespan_ns,
-            p.busy_ns,
-            p.utilization_pct,
-            p.mean_queue_wait_ns,
-            p.rounds,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    o.push_str("  ]\n}\n");
-    o
+    json::object(256 + 160 * points.len(), |w| {
+        w.field("suite", "cluster")
+            .field("workload", "mixed-8job")
+            .field("iters_per_job", iters)
+            .field("schedule", "fifo")
+            .key("scaling")
+            .array(|w| {
+                for p in points {
+                    w.object(|w| {
+                        w.field("devices", p.devices)
+                            .field("makespan_ns", p.makespan_ns)
+                            .field("busy_ns", p.busy_ns)
+                            .field("utilization_pct", p.utilization_pct)
+                            .field("mean_queue_wait_ns", p.mean_queue_wait_ns)
+                            .field("rounds", p.rounds);
+                    });
+                }
+            });
+    })
 }
 
 fn gate(args: &Args) -> Vec<String> {

@@ -20,6 +20,7 @@ use mimose::prelude::*;
 use mimose_audit::lint_cluster;
 use mimose_exp::fleetgate::fleet_matches_session;
 use mimose_exp::table::{gib, ms, render_table};
+use mimose_runtime::json::{self, Json};
 use std::path::Path;
 
 const USAGE: &str = "\
@@ -240,35 +241,26 @@ fn render(outcome: &ClusterOutcome) {
     }
 }
 
-fn slo_json(label: &str, r: &ClusterReport) -> String {
+fn slo_fields(w: &mut Json, r: &ClusterReport) {
     let s = &r.slo;
-    format!(
-        "  \"{label}\": {{\n    \"devices\": {}, \"jobs\": {}, \"arrivals\": \"{}\", \
-         \"makespan_ns\": {}, \"utilization_pct\": {:.4},\n    \
-         \"queue_wait_p50_ns\": {}, \"queue_wait_p95_ns\": {}, \"queue_wait_p99_ns\": {},\n    \
-         \"iter_latency_p50_ns\": {}, \"iter_latency_p95_ns\": {}, \"iter_latency_p99_ns\": {},\n    \
-         \"goodput_iters\": {}, \"goodput_iters_per_s\": {:.4},\n    \
-         \"rejected_jobs\": {}, \"shed_jobs\": {}, \"failed_jobs\": {}, \
-         \"rejection_rate_pct\": {:.4}, \"shed_rate_pct\": {:.4}\n  }}",
-        r.devices.len(),
-        r.jobs.len(),
-        r.arrivals.name(),
-        r.makespan_ns,
-        r.utilization_pct,
-        s.queue_wait_p50_ns,
-        s.queue_wait_p95_ns,
-        s.queue_wait_p99_ns,
-        s.iter_latency_p50_ns,
-        s.iter_latency_p95_ns,
-        s.iter_latency_p99_ns,
-        s.goodput_iters,
-        s.goodput_iters_per_s,
-        s.rejected_jobs,
-        s.shed_jobs,
-        s.failed_jobs,
-        s.rejection_rate_pct,
-        s.shed_rate_pct,
-    )
+    w.field("devices", r.devices.len())
+        .field("jobs", r.jobs.len())
+        .field("arrivals", r.arrivals.name())
+        .field("makespan_ns", r.makespan_ns)
+        .field("utilization_pct", r.utilization_pct)
+        .field("queue_wait_p50_ns", s.queue_wait_p50_ns)
+        .field("queue_wait_p95_ns", s.queue_wait_p95_ns)
+        .field("queue_wait_p99_ns", s.queue_wait_p99_ns)
+        .field("iter_latency_p50_ns", s.iter_latency_p50_ns)
+        .field("iter_latency_p95_ns", s.iter_latency_p95_ns)
+        .field("iter_latency_p99_ns", s.iter_latency_p99_ns)
+        .field("goodput_iters", s.goodput_iters)
+        .field("goodput_iters_per_s", s.goodput_iters_per_s)
+        .field("rejected_jobs", s.rejected_jobs)
+        .field("shed_jobs", s.shed_jobs)
+        .field("failed_jobs", s.failed_jobs)
+        .field("rejection_rate_pct", s.rejection_rate_pct)
+        .field("shed_rate_pct", s.shed_rate_pct);
 }
 
 /// Overload-leg shape: enough jobs to swamp the pool, arrivals much
@@ -385,13 +377,14 @@ fn gate(args: &Args) -> Vec<String> {
 
     // 5. Emit the SLO record: the steady serving run plus the overload
     // scenario.
-    let json = format!(
-        "{{\n  \"suite\": \"serve\",\n  \"mode\": \"event-driven\",\n  \
-         \"iters_per_job\": {},\n{},\n{}\n}}\n",
-        args.iters,
-        slo_json("steady", &steady.report),
-        slo_json("overload", &overload.report),
-    );
+    let json = json::object(1024, |w| {
+        w.field("suite", "serve")
+            .field("mode", "event-driven")
+            .field("iters_per_job", args.iters);
+        w.key("steady").object(|w| slo_fields(w, &steady.report));
+        w.key("overload")
+            .object(|w| slo_fields(w, &overload.report));
+    });
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     match std::fs::write(&path, json) {
         Ok(()) => eprintln!("serve gate: wrote {}", path.display()),

@@ -25,12 +25,16 @@
 //! Three recorders cover every use: [`NullRecorder`] for plain runs,
 //! [`EventLog`] for every recorded run, and [`Tee`] to run a shadow
 //! checker beside either.
+//!
+//! [`json`] is the workspace's one JSON writer: every report, diagnostic
+//! and BENCH record is spelled through it.
 
 #![warn(missing_docs)]
 
 mod engine;
 mod event;
 mod fold;
+pub mod json;
 mod live;
 mod policy;
 mod report;
