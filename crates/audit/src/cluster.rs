@@ -66,8 +66,10 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
         return diags; // every per-job check below would misalign
     }
 
-    // --- Fleet event chain: tally per-job protocol steps once, for the
-    // per-job and rollup cross-checks below. ---
+    // --- Fleet event chain: tally per-job protocol steps, and index each
+    // job's first arrive/dispatch/complete event and whether it has a
+    // terminal one, in one pass, for the per-job and rollup cross-checks
+    // below. ---
     let n_jobs = report.jobs.len();
     let mut checkpoints = vec![0usize; n_jobs];
     let mut requeues = vec![0usize; n_jobs];
@@ -75,6 +77,10 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
     let mut migrates = vec![0usize; n_jobs];
     let mut sheds = vec![0usize; n_jobs];
     let mut event_cost = vec![0u64; n_jobs];
+    let mut first_arrive = vec![None; n_jobs];
+    let mut first_dispatch = vec![None; n_jobs];
+    let mut first_complete = vec![None; n_jobs];
+    let mut terminal = vec![false; n_jobs];
     let mut lost_by_event = vec![false; report.devices.len()];
     let mut last_round = 0usize;
     let mut last_at_ns = 0u64;
@@ -125,6 +131,17 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
         }
         event_cost[j] += e.cost_ns;
         match &e.kind {
+            FleetEventKind::Arrive { .. } => {
+                first_arrive[j].get_or_insert(e);
+            }
+            FleetEventKind::Dispatch { .. } => {
+                first_dispatch[j].get_or_insert(e);
+            }
+            FleetEventKind::Complete { .. } => {
+                first_complete[j].get_or_insert(e);
+                terminal[j] = true;
+            }
+            FleetEventKind::Reject { .. } | FleetEventKind::Fail { .. } => terminal[j] = true,
             FleetEventKind::Checkpoint { .. } => checkpoints[j] += 1,
             FleetEventKind::Requeue { .. } => requeues[j] += 1,
             FleetEventKind::Backoff { until_round, .. } => {
@@ -153,7 +170,10 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                     ));
                 }
             }
-            FleetEventKind::Shed { .. } => sheds[j] += 1,
+            FleetEventKind::Shed { .. } => {
+                sheds[j] += 1;
+                terminal[j] = true;
+            }
             _ => {}
         }
     }
@@ -733,11 +753,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
     // timestamped chain. ---
     for (j, row) in report.jobs.iter().enumerate() {
         let subject = row.name.clone();
-        let arrive = report
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, FleetEventKind::Arrive { job } if *job == j));
-        let Some(arrive) = arrive else {
+        let Some(arrive) = first_arrive[j] else {
             diags.push(Diagnostic::error(
                 "cluster-arrival-missing",
                 subject,
@@ -755,11 +771,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        let dispatch = report
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, FleetEventKind::Dispatch { job, .. } if *job == j));
-        if let Some(dispatch) = dispatch {
+        if let Some(dispatch) = first_dispatch[j] {
             if dispatch.at_ns != arrive.at_ns + row.queue_wait_ns {
                 diags.push(Diagnostic::error(
                     "cluster-queue-wait-refold",
@@ -772,11 +784,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                 ));
             }
         }
-        let complete = report
-            .events
-            .iter()
-            .find(|e| matches!(&e.kind, FleetEventKind::Complete { job, .. } if *job == j));
-        if let Some(complete) = complete {
+        if let Some(complete) = first_complete[j] {
             if Some(complete.at_ns) != row.finish_ns {
                 diags.push(Diagnostic::error(
                     "cluster-finish-echo",
@@ -788,14 +796,7 @@ pub fn lint_cluster(outcome: &ClusterOutcome) -> Vec<Diagnostic> {
                 ));
             }
         }
-        let has_terminal = report.events.iter().any(|e| match &e.kind {
-            FleetEventKind::Complete { job, .. }
-            | FleetEventKind::Reject { job, .. }
-            | FleetEventKind::Shed { job, .. }
-            | FleetEventKind::Fail { job, .. } => *job == j,
-            _ => false,
-        });
-        if !has_terminal {
+        if !terminal[j] {
             diags.push(Diagnostic::error(
                 "cluster-terminal-event",
                 subject,
@@ -1043,5 +1044,52 @@ mod tests {
         let checks: Vec<_> = diags.iter().map(|d| d.check).collect();
         assert!(checks.contains(&"cluster-displaced-outcome"), "{checks:?}");
         assert!(checks.contains(&"cluster-migration-count"), "{checks:?}");
+    }
+
+    #[test]
+    fn indexed_chain_checks_catch_corruptions_at_scale() {
+        let mut outcome = Cluster::builder()
+            .devices(DevicePool::v100(16))
+            .workload(Workload::scaled(2, 1000))
+            .arrivals(ArrivalProcess::poisson(72_000_000, 1))
+            .run()
+            .expect("serving run");
+        assert!(lint_cluster(&outcome).is_empty());
+        let report = &mut outcome.report;
+        let complete_at = |events: &[mimose_cluster::FleetEvent], j: usize| {
+            events
+                .iter()
+                .position(|e| matches!(&e.kind, FleetEventKind::Complete { job, .. } if *job == j))
+        };
+        let completed: Vec<usize> = (0..report.jobs.len())
+            .filter(|&j| complete_at(&report.events, j).is_some())
+            .collect();
+        let (dropped, echoed, arrived) = (completed[10], completed[500], completed[900]);
+        // A dropped terminal event.
+        let pos = complete_at(&report.events, dropped).expect("completed");
+        report.events.remove(pos);
+        // A wrong finish echo that only a later duplicate `Complete`
+        // agrees with: the first match on the chain must win.
+        let late = report.makespan_ns;
+        let mut duplicate =
+            report.events[complete_at(&report.events, echoed).expect("completed")].clone();
+        duplicate.at_ns = late;
+        report.events.push(duplicate);
+        report.jobs[echoed].finish_ns = Some(late);
+        // An arrival echo that disagrees with the chain.
+        report.jobs[arrived].arrival_ns += 1;
+
+        let diags = lint_cluster(&outcome);
+        let subjects = |check: &str| -> Vec<String> {
+            diags
+                .iter()
+                .filter(|d| d.check == check)
+                .map(|d| d.subject.clone())
+                .collect()
+        };
+        let name = |j: usize| vec![outcome.report.jobs[j].name.clone()];
+        assert_eq!(subjects("cluster-terminal-event"), name(dropped));
+        assert_eq!(subjects("cluster-finish-echo"), name(echoed));
+        assert_eq!(subjects("cluster-arrival-echo"), name(arrived));
     }
 }

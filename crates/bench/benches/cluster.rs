@@ -2,7 +2,7 @@
 //! discrete-event driver scheduling the eight-job mixed workload (every
 //! job arriving at `t = 0`) over 1/2/4 V100s. The virtual-time scaling record
 //! (makespan, utilization per pool size) is written by `exp cluster --gate`
-//! as `BENCH_cluster.json`; this suite measures what the scheduler itself
+//! as `target/bench/BENCH_cluster.json`; this suite measures what the scheduler itself
 //! costs the host.
 
 use mimose_bench::harness::{BenchMeta, Criterion};

@@ -1,7 +1,9 @@
-//! Job specifications: what a cluster runs. A [`JobSpec`] owns its model
-//! and dataset (sessions borrow them for the job's lifetime on a device)
-//! and names its policy as data ([`JobPolicy`]), so a whole workload is a
-//! plain value — cloneable, comparable, replayable.
+//! Job specifications: what a cluster runs. A [`JobSpec`] shares its
+//! model: jobs over one graph hold the same `Arc`, so the graph is built,
+//! optimized and profiled at submission once. It owns its dataset
+//! (sessions borrow both for the job's lifetime on a device) and names its
+//! policy as data ([`JobPolicy`]), so a whole workload is a plain value —
+//! cloneable, comparable, replayable.
 
 use mimose_core::{MimoseConfig, MimosePolicy};
 use mimose_data::Dataset;
@@ -9,6 +11,7 @@ use mimose_exec::RecoveryConfig;
 use mimose_models::{ModelProfile, OptimizedGraph};
 use mimose_planner::{Directive, IterationObservation, MemoryPolicy, PlannerMeta, PolicyKind};
 use mimose_simgpu::DeviceProfile;
+use std::sync::Arc;
 
 /// Which memory policy a job trains under, as data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,8 +148,9 @@ pub struct JobSpec {
     /// Human-readable job name (unique within a workload).
     pub name: String,
     /// The model to train (post optimization-pipeline; carries its raw
-    /// graph and pass reports for admission evidence).
-    pub model: OptimizedGraph,
+    /// graph and pass reports for admission evidence), shared by every
+    /// job that trains the same graph.
+    pub model: Arc<OptimizedGraph>,
     /// The dataset to stream.
     pub dataset: Dataset,
     /// The memory policy to train under.
@@ -166,10 +170,11 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job with the default ladder disabled.
+    /// A job with the default ladder disabled. `model` is an owned graph
+    /// or an `Arc` already shared with other jobs.
     pub fn new(
         name: impl Into<String>,
-        model: OptimizedGraph,
+        model: impl Into<Arc<OptimizedGraph>>,
         dataset: Dataset,
         policy: JobPolicy,
         iters: usize,
@@ -177,7 +182,7 @@ impl JobSpec {
     ) -> Self {
         JobSpec {
             name: name.into(),
-            model,
+            model: model.into(),
             dataset,
             policy,
             iters,

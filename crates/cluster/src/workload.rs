@@ -8,6 +8,7 @@ use mimose_data::presets;
 use mimose_models::builders::{bert_base, resnet50_od, roberta_base, BertHead};
 use mimose_planner::PolicyKind;
 use mimose_simgpu::DeviceProfile;
+use std::sync::Arc;
 
 const GIB: usize = 1 << 30;
 
@@ -98,16 +99,19 @@ impl Workload {
     /// datasets, under a spread of policies (Mimose, static planners,
     /// DTR, unconstrained baseline) and budgets. `iters` sets each job's
     /// length; seeds are fixed so the workload is one deterministic
-    /// value.
+    /// value. The six distinct graphs are built and optimized once each:
+    /// the BERT two-label classifier and ResNet-50 each serve two jobs,
+    /// which share one `Arc`.
     #[must_use]
     pub fn mixed(iters: usize) -> Self {
-        let cls = || bert_base(BertHead::Classification { labels: 2 }).optimize();
+        let bert_cls2 = Arc::new(bert_base(BertHead::Classification { labels: 2 }).optimize());
+        let resnet = Arc::new(resnet50_od().optimize());
         let seed = |i: u64| Self::BASE_SEED + i;
         Workload {
             jobs: vec![
                 JobSpec::new(
                     "bert-qqp-mimose",
-                    cls(),
+                    bert_cls2.clone(),
                     presets::glue_qqp(),
                     JobPolicy::Mimose {
                         budget: Self::BERT_QQP_MIMOSE_BUDGET,
@@ -137,7 +141,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "resnet-coco-dtr",
-                    resnet50_od().optimize(),
+                    resnet.clone(),
                     presets::coco(Self::RESNET_DTR_BATCH),
                     JobPolicy::Planner(PolicyKind::Dtr, Self::RESNET_COCO_DTR_BUDGET),
                     iters,
@@ -145,7 +149,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "bert-qqp-baseline",
-                    cls(),
+                    bert_cls2,
                     presets::glue_qqp(),
                     JobPolicy::Planner(PolicyKind::Baseline, 0),
                     iters,
@@ -161,7 +165,7 @@ impl Workload {
                 ),
                 JobSpec::new(
                     "resnet-coco-mimose",
-                    resnet50_od().optimize(),
+                    resnet,
                     presets::coco(Self::RESNET_MIMOSE_BATCH),
                     JobPolicy::Mimose {
                         budget: Self::RESNET_COCO_MIMOSE_BUDGET,
@@ -185,24 +189,22 @@ impl Workload {
     /// `n_jobs` jobs cycling through the mixed workload: copy `k` of job
     /// `i` is renamed `<name>-<k>` and reseeded with
     /// [`Self::SCALED_SEED_STRIDE`]` * k`, so an overload scenario's 200
-    /// jobs are 200 distinct deterministic jobs, not 25 repeats of 8.
+    /// jobs are 200 distinct deterministic jobs, not 25 repeats of 8. The
+    /// mix is built once; every copy shares its template's model `Arc`.
     #[must_use]
     pub fn scaled(iters: usize, n_jobs: usize) -> Self {
-        let mut jobs = Vec::with_capacity(n_jobs);
-        let mut cycle = 0u64;
-        while jobs.len() < n_jobs {
-            for mut job in Self::mixed(iters).jobs {
-                if jobs.len() >= n_jobs {
-                    break;
-                }
+        let mix = Self::mixed(iters).jobs;
+        let jobs = (0..n_jobs)
+            .map(|n| {
+                let cycle = (n / mix.len()) as u64;
+                let mut job = mix[n % mix.len()].clone();
                 if cycle > 0 {
                     job.name = format!("{}-{cycle}", job.name);
                     job.seed += Self::SCALED_SEED_STRIDE * cycle;
                 }
-                jobs.push(job);
-            }
-            cycle += 1;
-        }
+                job
+            })
+            .collect();
         Workload { jobs }
     }
 
@@ -274,6 +276,23 @@ mod tests {
         for (a, b) in jobs.iter().zip(&again) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.seed, b.seed);
+        }
+    }
+
+    #[test]
+    fn scaled_workload_shares_one_graph_per_template() {
+        let jobs = Workload::scaled(2, 5000).into_jobs();
+        assert_eq!(jobs.len(), 5000);
+        let mut distinct: Vec<*const _> = jobs.iter().map(|j| Arc::as_ptr(&j.model)).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 6, "six distinct graphs across the mix");
+        for (n, job) in jobs.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&job.model, &jobs[n % 8].model),
+                "{} does not share copy 0's graph",
+                job.name
+            );
         }
     }
 }

@@ -12,8 +12,8 @@
 //! and — the survivability leg — a fault plan permanently killing one
 //! device mid-run must end with every job finished or explicitly shed
 //! (zero lost jobs), a lint-clean fleet trace, and byte-identical replay.
-//! The gate also writes `BENCH_cluster.json` (the device-scaling record)
-//! at the repository root.
+//! The gate also writes `target/bench/BENCH_cluster.json` (the
+//! device-scaling record).
 //!
 //! `--lose` / `--down` inject device-lifecycle faults, timed in virtual
 //! nanoseconds, into plain runs, so the failure protocol's event chain can
@@ -22,10 +22,10 @@
 use mimose::cluster::{ClusterBuilder, ClusterOutcome};
 use mimose::prelude::*;
 use mimose_audit::lint_cluster;
+use mimose_exp::benchfile::write_bench;
 use mimose_exp::fleetgate::fleet_matches_session;
 use mimose_exp::table::{gib, ms, render_table};
 use mimose_runtime::json;
-use std::path::Path;
 
 const USAGE: &str = "\
 cluster — deterministic multi-device fleet scheduling of the mixed workload
@@ -41,7 +41,7 @@ OPTIONS:
     --down <D:T:N>    take device D down at virtual ns T for N ns (repeatable)
     --json            print the ClusterReport JSON instead of the table
     --gate            run the determinism/audit/scaling/survivability gate
-                      and write BENCH_cluster.json at the repository root
+                      and write target/bench/BENCH_cluster.json
     --help            print this message
 ";
 
@@ -381,9 +381,8 @@ fn gate(args: &Args) -> Vec<String> {
     }
 
     // 6. Emit the scaling record.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json");
-    match std::fs::write(&path, bench_json(args.iters, &points)) {
-        Ok(()) => eprintln!("cluster gate: wrote {}", path.display()),
+    match write_bench("cluster", &bench_json(args.iters, &points)) {
+        Ok(path) => eprintln!("cluster gate: wrote {}", path.display()),
         Err(e) => failures.push(format!("BENCH_cluster.json: {e}")),
     }
 

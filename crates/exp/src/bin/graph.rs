@@ -8,14 +8,14 @@
 //! block boundaries, isomorphic dataflow, no unsound elision), a
 //! measured activation-byte reduction floor on BERT and T5, and an
 //! idempotent pipeline (a second run annotates and removes nothing).
-//! The gate also writes `BENCH_graph.json` (pipeline wall time and
-//! bytes saved per builder) at the repository root.
+//! The gate also writes `target/bench/BENCH_graph.json` (pipeline wall
+//! time and bytes saved per builder).
 
 use mimose::models::builders::{bert_base, resnet50_od, roberta_base, t5_base, BertHead};
 use mimose::models::{GraphDelta, ModelGraph, ModelInput, OptimizedGraph, StashMode};
+use mimose_exp::benchfile::write_bench;
 use mimose_exp::table::{gib, render_table};
 use mimose_runtime::json;
-use std::path::Path;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -30,7 +30,7 @@ OPTIONS:
     --seqlen <N>      sequence length (NLP models)  [256]
     --dag             render the full block DAG with stash annotations
     --gate            run the equivalence/reduction/idempotence gate and
-                      write BENCH_graph.json at the repository root
+                      write target/bench/BENCH_graph.json
     --help            print this message
 ";
 
@@ -366,9 +366,8 @@ fn gate() -> Vec<String> {
         });
     }
 
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_graph.json");
-    match std::fs::write(&path, bench_json(&bench_rows)) {
-        Ok(()) => eprintln!("graph gate: wrote {}", path.display()),
+    match write_bench("graph", &bench_json(&bench_rows)) {
+        Ok(path) => eprintln!("graph gate: wrote {}", path.display()),
         Err(e) => failures.push(format!("BENCH_graph.json: {e}")),
     }
 

@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 
+pub mod benchfile;
 pub mod cli;
 pub mod csv;
 pub mod experiments;
