@@ -1,13 +1,18 @@
-//! Fixture pin: `ClusterReport::to_json()` on three canonical specs hashes
-//! to committed FNV-1a values, so any change to the fleet driver that
-//! moves a single byte of a report — an event, a timestamp, a rollup
-//! digit — fails here. The specs cover the batch world (every job present
-//! at `t = 0`), the serving world (Poisson arrivals) and the failure
-//! protocol (a timed permanent device loss mid-run).
+//! Fixture pin: `ClusterReport::to_json()` on canonical specs hashes to
+//! committed FNV-1a values, so any change to the fleet driver that moves a
+//! single byte of a report — an event, a timestamp, a rollup digit — fails
+//! here. The specs cover the batch world (every job present at `t = 0`),
+//! the serving world (Poisson arrivals), the failure protocol (a timed
+//! permanent device loss mid-run) and each remaining settle path: shedding
+//! on a full queue, a job failed by its retry budget, triage after every
+//! device is lost, and dispatch onto a collapsed device. Each case also
+//! checks that its path fired, so a pin cannot pass on a run that skipped
+//! it.
 
 use mimose_chaos::{FleetFaultPlan, TimedDeviceFault};
 use mimose_cluster::{
-    ArrivalProcess, Cluster, ClusterBuilder, ClusterReport, DevicePool, Workload,
+    ArrivalProcess, Cluster, ClusterBuilder, ClusterReport, DevicePool, FleetEventKind, JobOutcome,
+    Workload,
 };
 
 /// 64-bit FNV-1a.
@@ -57,4 +62,75 @@ fn timed_device_loss() {
     assert_eq!(r.fleet.devices_lost, 1);
     assert!(r.fleet.migrations >= 1);
     assert_eq!(pin, (0x97de_bc39_f2a8_55bc, 8398));
+}
+
+#[test]
+fn bounded_queue_overload() {
+    let (r, pin) = pinned(canonical(1, 2).queue_limit(Some(2)));
+    assert!(r.fleet.shed_jobs > 0);
+    assert!(r.events.iter().any(|e| matches!(
+        &e.kind,
+        FleetEventKind::Shed { reason, .. } if reason.contains("queue full")
+    )));
+    assert_eq!(pin, (0x23c8_4f6a_574a_796d, 6713));
+}
+
+#[test]
+fn flapping_device_exhausts_the_retry_budget() {
+    let flap = |at_ns| TimedDeviceFault::Down {
+        at_ns,
+        duration_ns: 1_000_000_000,
+    };
+    let faults = FleetFaultPlan::none(0)
+        .with_timed_fault(0, flap(100_000_000))
+        .with_timed_fault(0, flap(1_200_000_000))
+        .with_timed_fault(0, flap(2_500_000_000));
+    let jobs = vec![Workload::mixed(8).into_jobs().remove(0)];
+    let (r, pin) = pinned(
+        Cluster::builder()
+            .devices(DevicePool::v100(1))
+            .workload(Workload::custom(jobs))
+            .faults(faults)
+            .max_retries(1),
+    );
+    assert!(
+        matches!(&r.jobs[0].outcome, JobOutcome::Failed(reason) if reason.contains("retry budget")),
+        "{:?}",
+        r.jobs[0].outcome
+    );
+    assert_eq!(pin, (0x123c_7c82_4ee4_f437, 3231));
+}
+
+#[test]
+fn every_device_lost() {
+    let faults = FleetFaultPlan::none(0)
+        .with_timed_fault(0, TimedDeviceFault::Lost { at_ns: 100_000_000 })
+        .with_timed_fault(1, TimedDeviceFault::Lost { at_ns: 100_000_000 });
+    let (r, pin) = pinned(canonical(2, 4).faults(faults));
+    assert_eq!(r.fleet.devices_lost, 2);
+    assert_eq!(r.fleet.shed_jobs, r.jobs.len());
+    // Queued jobs shed at the loss; jobs caught mid-run shed at their
+    // boundary, carrying the evidence of the iterations they ran.
+    assert!(r.jobs.iter().any(|j| j.iters == 0));
+    assert!(r.jobs.iter().any(|j| j.iters > 0));
+    assert_eq!(pin, (0x0a61_ab47_dfaf_27a2, 7560));
+}
+
+#[test]
+fn capacity_collapse() {
+    let faults = FleetFaultPlan::none(0).with_timed_fault(
+        0,
+        TimedDeviceFault::CapacityCollapse {
+            at_ns: 0,
+            duration_ns: 2_000_000_000,
+            factor: 0.3,
+        },
+    );
+    let (r, pin) = pinned(canonical(2, 2).faults(faults));
+    assert!(r.jobs.iter().all(|j| j.outcome.finished()));
+    assert!(r
+        .jobs
+        .iter()
+        .any(|j| j.demoted && j.admission_reason.is_some()));
+    assert_eq!(pin, (0xcad0_fc4b_a313_c310, 8066));
 }
