@@ -37,17 +37,29 @@
 //! budget is exhausted, the job is **shed** or **failed** explicitly —
 //! lowest priority first — never silently dropped or starved. Every step
 //! is a timestamped, cost-attributed [`FleetEvent`](crate::FleetEvent).
+//!
+//! # One path per action
+//!
+//! Fresh arrivals and displaced jobs wait as the same entry type and start
+//! through one dispatch function; they differ only in how the session is
+//! seeded (the submitted policy and seed, or the parked checkpoint) and in
+//! the event and counters a start writes (`Dispatch` or `Migrate`).
+//! Dispatch never rejects: both waiting lines offer a job only to a device
+//! whose usable capacity holds its all-checkpoint floor, so admission
+//! chooses between admit and demote. A running job ends through one settle
+//! path (completion, exec error, spent retry budget), a waiting job through
+//! one shed path (full queue, triage, quiesce), and every event is stamped
+//! with the current epoch and instant in one place.
 
-use crate::admission::AdmissionController;
+use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::events::{
     FleetEvent, FleetEventKind, BACKOFF_BASE_NS, CHECKPOINT_COST_NS, RESTORE_COST_NS,
 };
-use crate::protocol::{self, DeviceAccum, RollupInputs};
+use crate::protocol::{self, DeviceAccum, JobState, RollupInputs, Start, Submitted, Waiting};
 use crate::report::{FleetStats, JobOutcome, JobPlacement};
-use crate::spec::{ClusterOutcome, ClusterSpec, JobDetail};
-use crate::AdmissionDecision;
+use crate::spec::{ClusterOutcome, ClusterSpec};
 use mimose_chaos::DeviceCondition;
-use mimose_exec::{RecoveryConfig, Session, SessionCheckpoint};
+use mimose_exec::{ExecError, Session};
 use mimose_runtime::IterationReport;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -113,769 +125,576 @@ impl EventQueue {
     }
 }
 
-/// The step a session executed eagerly at dispatch, held until its
-/// completion event fires: the pre-step peak prediction and the outcome.
-type StepResult = (
-    Option<usize>,
-    Result<IterationReport, mimose_exec::ExecError>,
-);
-
-/// One job executing on a device, with its in-flight iteration.
+/// One job executing on a device.
 struct Running<'a> {
     job: usize,
+    sub: Submitted,
     session: Session<'a>,
     remaining: usize,
     reports: Vec<IterationReport>,
     seg_ns: u64,
     seg_iters: usize,
-    inflight: Option<StepResult>,
 }
 
-/// A checkpointed job waiting out its backoff window (virtual ns).
-struct Displaced<'a> {
-    job: usize,
-    checkpoint: SessionCheckpoint<'a>,
-    remaining: usize,
-    ready_ns: u64,
-    from_device: usize,
+/// A device's in-flight iteration: the running job, the peak predicted
+/// before its step, and the step's outcome. The step executes eagerly at
+/// dispatch and is held until its completion event fires.
+struct InFlight<'a> {
+    run: Running<'a>,
+    predicted: Option<usize>,
+    outcome: Result<IterationReport, ExecError>,
 }
 
-#[derive(Default)]
 struct DeviceState<'a> {
-    busy_ns: u64,
-    jobs_run: usize,
-    iters: usize,
-    running: Option<Running<'a>>,
+    stats: DeviceAccum,
+    cond: DeviceCondition,
+    inflight: Option<InFlight<'a>>,
 }
 
-/// Eagerly execute the next iteration and schedule its completion event.
-/// Exec errors schedule a zero-length completion so the failure settles
-/// through the same boundary path.
-fn advance(run: &mut Running, q: &mut EventQueue, t: u64, device: usize) {
-    let predicted = run.session.predicted_peak_bytes().ok();
-    let outcome = run.session.step();
-    let dt = match &outcome {
-        Ok(report) => report.time.total_ns(),
-        Err(_) => 0,
-    };
-    run.inflight = Some((predicted, outcome));
-    q.push(t.saturating_add(dt), Ev::Finish { device });
+/// The fleet between events: per-job and per-device state, the event
+/// chain, and the two waiting lines.
+struct Driver<'a> {
+    spec: &'a ClusterSpec,
+    ctl: AdmissionController,
+    jobs: Vec<JobState>,
+    devices: Vec<DeviceState<'a>>,
+    events: Vec<FleetEvent>,
+    fleet: FleetStats,
+    q: EventQueue,
+    /// Arrived jobs not yet dispatched.
+    pending: Vec<Waiting<'a>>,
+    /// Checkpointed jobs waiting to migrate.
+    displaced: Vec<Waiting<'a>>,
+    /// Index of the current same-instant batch (each event's `round`).
+    epoch: usize,
+    /// The current virtual instant.
+    now: u64,
+    dispatch_seq: usize,
 }
 
 /// Run a validated spec (see [`ClusterBuilder::build`](crate::ClusterBuilder::build))
 /// to completion under the discrete-event clock. A run that starts always
 /// yields a report, with every job settled by an explicit outcome and a
 /// terminal event on the chain.
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run_event(spec: &ClusterSpec) -> ClusterOutcome {
-    let n_jobs = spec.jobs.len();
-    let n_devs = spec.devices.len();
-
-    let mut ctl = AdmissionController {
-        headroom: spec.headroom,
-        ..AdmissionController::default()
-    };
-    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; n_jobs];
-    let mut details: Vec<JobDetail> = spec
-        .jobs
-        .iter()
-        .map(|j| JobDetail {
-            name: j.name.clone(),
-            ..JobDetail::default()
-        })
-        .collect();
-    let mut queue_waits: Vec<Option<u64>> = vec![None; n_jobs];
-    let mut demoted: Vec<bool> = vec![false; n_jobs];
-    let mut placements: Vec<Vec<JobPlacement>> = vec![Vec::new(); n_jobs];
-    let mut migrations = vec![0usize; n_jobs];
-    let mut retries = vec![0usize; n_jobs];
-    let mut overhead = vec![0u64; n_jobs];
-    let mut finish_ns: Vec<Option<u64>> = vec![None; n_jobs];
-    let mut events: Vec<FleetEvent> = Vec::new();
-    let mut fleet = FleetStats {
-        max_retries: spec.max_retries,
-        ..FleetStats::default()
-    };
-
+    let mut ctl = AdmissionController::default();
     // Submission runs up front: profiles, floors, certificates. Jobs it
     // settles (unprofilable, floor over every device) replay their
     // terminal event when their arrival fires, so the chain still accounts
     // for them at the right virtual instant.
-    let mut submitted = protocol::submit_jobs(spec, &mut ctl, &mut outcomes, &mut details);
-
-    let arrival_ns = spec.arrivals.arrival_ns(n_jobs);
-    let mut q = EventQueue::default();
-    for (j, &t) in arrival_ns.iter().enumerate() {
-        q.push(t, Ev::Arrive { job: j });
+    let jobs = protocol::submit_jobs(spec, &mut ctl);
+    let mut fleet = Driver {
+        spec,
+        ctl,
+        jobs,
+        devices: (0..spec.devices.len())
+            .map(|_| DeviceState {
+                stats: DeviceAccum::default(),
+                cond: DeviceCondition::Up,
+                inflight: None,
+            })
+            .collect(),
+        events: Vec::new(),
+        fleet: FleetStats {
+            max_retries: spec.max_retries,
+            ..FleetStats::default()
+        },
+        q: EventQueue::default(),
+        pending: Vec::new(),
+        displaced: Vec::new(),
+        epoch: 0,
+        now: 0,
+        dispatch_seq: 0,
+    };
+    let arrivals = spec.arrivals.arrival_ns(spec.jobs.len());
+    for (j, (st, t)) in fleet.jobs.iter_mut().zip(arrivals).enumerate() {
+        st.arrival_ns = t;
+        fleet.q.push(t, Ev::Arrive { job: j });
     }
     // Seed the fault-transition chain; each transition schedules the next,
     // so the walk covers exactly the plan's timed boundaries.
-    q.push(0, Ev::Transition);
+    fleet.q.push(0, Ev::Transition);
 
-    let mut pending: Vec<usize> = Vec::new();
-    let mut displaced: Vec<Displaced> = Vec::new();
-    let mut devices: Vec<DeviceState> = (0..n_devs).map(|_| DeviceState::default()).collect();
-    let mut last_cond: Vec<DeviceCondition> = vec![DeviceCondition::Up; n_devs];
-    let mut lost: Vec<bool> = vec![false; n_devs];
-    let mut epoch = 0usize;
-    let mut dispatch_seq = 0usize;
-    let mut last_t = 0u64;
-
-    while let Some((t, batch)) = q.pop_batch() {
-        last_t = t;
+    while let Some((t, batch)) = fleet.q.pop_batch() {
+        fleet.now = t;
         for ev in batch {
             match ev {
-                Ev::Transition => {
-                    let conds: Vec<DeviceCondition> = (0..n_devs)
-                        .map(|d| spec.faults.device_condition_at_ns(d, t))
-                        .collect();
-                    for d in 0..n_devs {
-                        if conds[d] == last_cond[d] {
-                            continue;
-                        }
-                        match conds[d] {
-                            DeviceCondition::Up => events.push(FleetEvent {
-                                round: epoch,
-                                at_ns: t,
-                                kind: FleetEventKind::DeviceUp { device: d },
-                                cost_ns: 0,
-                            }),
-                            DeviceCondition::Down | DeviceCondition::Lost => {
-                                let until_round = if conds[d] == DeviceCondition::Lost {
-                                    lost[d] = true;
-                                    fleet.devices_lost += 1;
-                                    None
-                                } else {
-                                    // Walk the timed boundaries to the
-                                    // instant this device returns.
-                                    let mut probe = t;
-                                    let mut until = None;
-                                    while let Some(b) = spec.faults.next_transition_after_ns(probe)
-                                    {
-                                        match spec.faults.device_condition_at_ns(d, b) {
-                                            DeviceCondition::Up => {
-                                                until = Some(b as usize);
-                                                break;
-                                            }
-                                            DeviceCondition::Lost => break,
-                                            DeviceCondition::Down => probe = b,
-                                        }
-                                    }
-                                    until
-                                };
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::DeviceDown {
-                                        device: d,
-                                        until_round,
-                                    },
-                                    cost_ns: 0,
-                                });
-                                // The in-flight job (if any) keeps running
-                                // to its iteration boundary; displacement
-                                // happens at its completion event.
-                            }
-                        }
-                        last_cond[d] = conds[d];
-                    }
-                    if let Some(next) = spec.faults.next_transition_after_ns(t) {
-                        q.push(next, Ev::Transition);
-                    }
-                }
-                Ev::Finish { device: d } => {
-                    let Some(mut run) = devices[d].running.take() else {
-                        continue; // stale wakeup; nothing in flight here
-                    };
-                    let j = run.job;
-                    let Some((predicted, outcome)) = run.inflight.take() else {
-                        outcomes[j] = Some(JobOutcome::Failed(
-                            "internal: completion fired with no in-flight step".into(),
-                        ));
-                        continue;
-                    };
-                    let report = match outcome {
-                        Ok(report) => report,
-                        Err(e) => {
-                            let reason = e.to_string();
-                            events.push(FleetEvent {
-                                round: epoch,
-                                at_ns: t,
-                                kind: FleetEventKind::Fail {
-                                    job: j,
-                                    reason: reason.clone(),
-                                },
-                                cost_ns: 0,
-                            });
-                            outcomes[j] = Some(JobOutcome::Failed(reason));
-                            devices[d].jobs_run += 1;
-                            if run.seg_iters > 0 || run.seg_ns > 0 {
-                                placements[j].push(JobPlacement {
-                                    device: d,
-                                    busy_ns: run.seg_ns,
-                                    iters: run.seg_iters,
-                                });
-                            }
-                            details[j].records.extend(run.session.take_records());
-                            details[j].summary = run.session.summary().clone();
-                            details[j].plan_tiers = run.session.policy().plan_tier_stats();
-                            details[j].reports.extend(run.reports);
-                            continue;
-                        }
-                    };
-                    // Commit the iteration at its boundary.
-                    let dt = report.time.total_ns();
-                    devices[d].busy_ns += dt;
-                    devices[d].iters += 1;
-                    run.seg_ns += dt;
-                    run.seg_iters += 1;
-                    if let Some(p) = predicted {
-                        ctl.stats.score(p, report.peak_bytes);
-                    }
-                    run.reports.push(report);
-                    run.remaining = run.remaining.saturating_sub(1);
-                    if run.remaining == 0 {
-                        let outcome = if migrations[j] > 0 {
-                            JobOutcome::Migrated
-                        } else {
-                            JobOutcome::Completed
-                        };
-                        events.push(FleetEvent {
-                            round: epoch,
-                            at_ns: t,
-                            kind: FleetEventKind::Complete { job: j, device: d },
-                            cost_ns: 0,
-                        });
-                        outcomes[j] = Some(outcome);
-                        finish_ns[j] = Some(t);
-                        devices[d].jobs_run += 1;
-                        if run.seg_iters > 0 || run.seg_ns > 0 {
-                            placements[j].push(JobPlacement {
-                                device: d,
-                                busy_ns: run.seg_ns,
-                                iters: run.seg_iters,
-                            });
-                        }
-                        details[j].records.extend(run.session.take_records());
-                        details[j].summary = run.session.summary().clone();
-                        details[j].plan_tiers = run.session.policy().plan_tier_stats();
-                        details[j].reports.extend(std::mem::take(&mut run.reports));
-                        continue;
-                    }
-                    match spec.faults.device_condition_at_ns(d, t) {
-                        DeviceCondition::Up => {
-                            // Next iteration starts immediately.
-                            advance(&mut run, &mut q, t, d);
-                            devices[d].running = Some(run);
-                        }
-                        DeviceCondition::Down | DeviceCondition::Lost => {
-                            // The device died under the job: displace at
-                            // this boundary.
-                            if run.seg_iters > 0 || run.seg_ns > 0 {
-                                placements[j].push(JobPlacement {
-                                    device: d,
-                                    busy_ns: run.seg_ns,
-                                    iters: run.seg_iters,
-                                });
-                            }
-                            details[j].reports.extend(run.reports);
-                            if retries[j] + 1 > spec.max_retries {
-                                let reason = format!(
-                                    "displaced {} times; retry budget {} exhausted",
-                                    retries[j] + 1,
-                                    spec.max_retries
-                                );
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::Fail {
-                                        job: j,
-                                        reason: reason.clone(),
-                                    },
-                                    cost_ns: 0,
-                                });
-                                outcomes[j] = Some(JobOutcome::Failed(reason));
-                                let mut session = run.session;
-                                details[j].records.extend(session.take_records());
-                                details[j].summary = session.summary().clone();
-                                details[j].plan_tiers = session.policy().plan_tier_stats();
-                            } else {
-                                retries[j] += 1;
-                                let checkpoint = run.session.checkpoint();
-                                overhead[j] += CHECKPOINT_COST_NS;
-                                fleet.checkpoints += 1;
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::Checkpoint {
-                                        job: j,
-                                        device: d,
-                                        cursor: checkpoint.cursor(),
-                                    },
-                                    cost_ns: CHECKPOINT_COST_NS,
-                                });
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::Requeue {
-                                        job: j,
-                                        retries: retries[j],
-                                    },
-                                    cost_ns: 0,
-                                });
-                                let ready_ns =
-                                    t.saturating_add(BACKOFF_BASE_NS << (retries[j] - 1).min(32));
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::Backoff {
-                                        job: j,
-                                        until_round: ready_ns as usize,
-                                    },
-                                    cost_ns: 0,
-                                });
-                                q.push(ready_ns, Ev::Ready);
-                                displaced.push(Displaced {
-                                    job: j,
-                                    checkpoint,
-                                    remaining: run.remaining,
-                                    ready_ns,
-                                    from_device: d,
-                                });
-                            }
-                        }
-                    }
-                }
-                Ev::Arrive { job: j } => {
-                    events.push(FleetEvent {
-                        round: epoch,
-                        at_ns: t,
-                        kind: FleetEventKind::Arrive { job: j },
-                        cost_ns: 0,
-                    });
-                    match &outcomes[j] {
-                        Some(JobOutcome::Rejected) => {
-                            // Settled at submission; replay the verdict on
-                            // the chain at the arrival instant.
-                            let reason = details[j]
-                                .admission_reason
-                                .clone()
-                                .unwrap_or_else(|| "rejected at submission".to_string());
-                            events.push(FleetEvent {
-                                round: epoch,
-                                at_ns: t,
-                                kind: FleetEventKind::Reject { job: j, reason },
-                                cost_ns: 0,
-                            });
-                        }
-                        Some(JobOutcome::Failed(reason)) => {
-                            events.push(FleetEvent {
-                                round: epoch,
-                                at_ns: t,
-                                kind: FleetEventKind::Fail {
-                                    job: j,
-                                    reason: reason.clone(),
-                                },
-                                cost_ns: 0,
-                            });
-                        }
-                        Some(_) => {}
-                        None => {
-                            if spec.queue_limit.is_some_and(|limit| pending.len() >= limit) {
-                                // The overload valve: bounded queue full,
-                                // shed on arrival rather than queue into an
-                                // SLO-busting backlog.
-                                let reason = format!(
-                                    "queue full on arrival ({} jobs waiting, limit {})",
-                                    pending.len(),
-                                    spec.queue_limit.unwrap_or(0)
-                                );
-                                events.push(FleetEvent {
-                                    round: epoch,
-                                    at_ns: t,
-                                    kind: FleetEventKind::Shed {
-                                        job: j,
-                                        reason: reason.clone(),
-                                    },
-                                    cost_ns: 0,
-                                });
-                                fleet.shed_jobs += 1;
-                                outcomes[j] = Some(JobOutcome::Shed(reason));
-                            } else {
-                                pending.push(j);
-                            }
-                        }
-                    }
-                }
+                Ev::Transition => fleet.transition(),
+                Ev::Finish { device } => fleet.finish(device),
+                Ev::Arrive { job } => fleet.arrive(job),
                 Ev::Ready => {} // pure wakeup; dispatch below re-checks
             }
         }
-
-        // --- Triage: shed queued work the degraded pool can never place,
-        // lowest priority first. Down devices still count (they come
-        // back); only lost ones don't. ---
-        let alive_usable = (0..n_devs)
-            .filter(|&d| spec.faults.device_condition_at_ns(d, t) != DeviceCondition::Lost)
-            .map(|d| protocol::usable_bytes(&spec.devices[d], spec.headroom))
-            .max()
-            .unwrap_or(0);
-        let unplaceable = |j: usize| submitted[j].as_ref().is_none_or(|s| s.floor > alive_usable);
-        if pending.iter().any(|&j| unplaceable(j)) || displaced.iter().any(|x| unplaceable(x.job)) {
-            let mut to_shed: Vec<(usize, Option<Displaced>)> = Vec::new();
-            let mut kept = Vec::with_capacity(displaced.len());
-            for x in displaced.drain(..) {
-                if unplaceable(x.job) {
-                    to_shed.push((x.job, Some(x)));
-                } else {
-                    kept.push(x);
-                }
-            }
-            displaced = kept;
-            to_shed.extend(
-                pending
-                    .iter()
-                    .copied()
-                    .filter(|&j| unplaceable(j))
-                    .map(|j| (j, None)),
-            );
-            pending.retain(|&j| !unplaceable(j));
-            to_shed.sort_by_key(|(j, _)| (spec.jobs[*j].priority, *j));
-            for (j, dsp) in to_shed {
-                let reason = if alive_usable == 0 {
-                    "no surviving device in the pool".to_string()
-                } else {
-                    format!(
-                        "all-checkpoint floor exceeds every surviving device's usable \
-                         capacity ({alive_usable} B)"
-                    )
-                };
-                events.push(FleetEvent {
-                    round: epoch,
-                    at_ns: t,
-                    kind: FleetEventKind::Shed {
-                        job: j,
-                        reason: reason.clone(),
-                    },
-                    cost_ns: 0,
-                });
-                fleet.shed_jobs += 1;
-                outcomes[j] = Some(JobOutcome::Shed(reason));
-                if let Some(dsp) = dsp {
-                    let (summary, records, policy) = dsp.checkpoint.into_evidence();
-                    details[j].summary = summary;
-                    details[j].records.extend(records);
-                    details[j].plan_tiers = policy.plan_tier_stats();
-                }
-            }
-        }
-
-        // --- Dispatch pass: idle, up devices pick work in index order.
-        // Displaced jobs (highest priority, then requeue order) outrank
-        // fresh arrivals — they hold warmed checkpoints, and deferring new
-        // admissions is the fleet's backpressure under degradation. ---
-        #[allow(clippy::needless_range_loop)] // devices[d] is re-borrowed mutably mid-body
-        for d in 0..n_devs {
-            if devices[d].running.is_some()
-                || spec.faults.device_condition_at_ns(d, t) != DeviceCondition::Up
-            {
-                continue;
-            }
-            let cap_factor = spec.faults.capacity_factor_at_ns(d, t);
-            let dev_eff = protocol::effective_device(spec, d, cap_factor);
-            let usable = protocol::usable_bytes(&dev_eff, spec.headroom);
-
-            // 1. A ready displaced job that fits?
-            let pick = displaced
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| {
-                    x.ready_ns <= t && submitted[x.job].as_ref().is_some_and(|s| s.floor <= usable)
-                })
-                .min_by_key(|(pos, x)| (Reverse(spec.jobs[x.job].priority), *pos))
-                .map(|(pos, _)| pos);
-            if let Some(pos) = pick {
-                let dsp = displaced.remove(pos);
-                let j = dsp.job;
-                let Some(sub) = submitted[j].as_ref() else {
-                    outcomes[j] = Some(JobOutcome::Failed(
-                        "internal: displaced job lost its submission record".into(),
-                    ));
-                    continue;
-                };
-                let decision = ctl.decide_certified(
-                    sub.predicted_peak,
-                    &sub.worst,
-                    &dev_eff,
-                    sub.certificate.as_ref(),
-                );
-                if details[j].admission_reason.is_none() {
-                    details[j].admission_reason =
-                        decision.reason(sub.predicted_peak, usable).map(|r| {
-                            match &sub.graph_evidence {
-                                Some(g) => format!("{r}; {g}"),
-                                None => r,
-                            }
-                        });
-                }
-                let recovery: Option<RecoveryConfig> = match decision {
-                    AdmissionDecision::Admit => spec.jobs[j].recovery.clone(),
-                    AdmissionDecision::Demote { .. } => {
-                        demoted[j] = true;
-                        Some(spec.jobs[j].recovery.clone().unwrap_or_default())
-                    }
-                    AdmissionDecision::Reject { .. } => {
-                        let reason = "re-admission rejected below the floor".to_string();
-                        events.push(FleetEvent {
-                            round: epoch,
-                            at_ns: t,
-                            kind: FleetEventKind::Fail {
-                                job: j,
-                                reason: reason.clone(),
-                            },
-                            cost_ns: 0,
-                        });
-                        outcomes[j] = Some(JobOutcome::Failed(reason));
-                        continue;
-                    }
-                };
-                let cursor = dsp.checkpoint.cursor();
-                let mut builder = Session::builder(&spec.jobs[j].model, &spec.jobs[j].dataset)
-                    .device(spec.devices[d].clone())
-                    .record(spec.record)
-                    .resume(dsp.checkpoint);
-                if let Some(cfg) = recovery {
-                    builder = builder.recovery(cfg);
-                }
-                if let Some(inj) = spec.faults.injector_for(d) {
-                    builder = builder.chaos(inj);
-                }
-                match builder.build() {
-                    Ok(session) => {
-                        details[j].device = Some(d);
-                        overhead[j] += RESTORE_COST_NS;
-                        migrations[j] += 1;
-                        fleet.migrations += 1;
-                        events.push(FleetEvent {
-                            round: epoch,
-                            at_ns: t,
-                            kind: FleetEventKind::Migrate {
-                                job: j,
-                                from: dsp.from_device,
-                                to: d,
-                                cursor,
-                                seq: dispatch_seq,
-                            },
-                            cost_ns: RESTORE_COST_NS,
-                        });
-                        dispatch_seq += 1;
-                        let mut run = Running {
-                            job: j,
-                            session,
-                            remaining: dsp.remaining,
-                            reports: Vec::with_capacity(dsp.remaining),
-                            seg_ns: 0,
-                            seg_iters: 0,
-                            inflight: None,
-                        };
-                        advance(&mut run, &mut q, t, d);
-                        devices[d].running = Some(run);
-                    }
-                    Err(e) => {
-                        let reason = e.to_string();
-                        events.push(FleetEvent {
-                            round: epoch,
-                            at_ns: t,
-                            kind: FleetEventKind::Fail {
-                                job: j,
-                                reason: reason.clone(),
-                            },
-                            cost_ns: 0,
-                        });
-                        outcomes[j] = Some(JobOutcome::Failed(reason));
-                    }
-                }
-                continue;
-            }
-
-            // 2. Otherwise a fresh arrival under the dispatch policy.
-            let Some(pos) = protocol::pick_pending(
-                spec.schedule,
-                &pending,
-                &submitted,
-                &spec.jobs,
-                &spec.devices[d],
-                usable,
-            ) else {
-                continue;
-            };
-            let j = pending.remove(pos);
-            let Some(sub) = submitted[j].as_mut() else {
-                outcomes[j] = Some(JobOutcome::Failed(
-                    "internal: picked job lost its submission record".into(),
-                ));
-                continue;
-            };
-            let decision = ctl.decide_certified(
-                sub.predicted_peak,
-                &sub.worst,
-                &dev_eff,
-                sub.certificate.as_ref(),
-            );
-            if details[j].admission_reason.is_none() {
-                details[j].admission_reason =
-                    decision.reason(sub.predicted_peak, usable).map(|r| {
-                        match &sub.graph_evidence {
-                            Some(g) => format!("{r}; {g}"),
-                            None => r,
-                        }
-                    });
-            }
-            let recovery: Option<RecoveryConfig> = match decision {
-                AdmissionDecision::Admit => spec.jobs[j].recovery.clone(),
-                AdmissionDecision::Demote { .. } => {
-                    demoted[j] = true;
-                    Some(spec.jobs[j].recovery.clone().unwrap_or_default())
-                }
-                AdmissionDecision::Reject { .. } => {
-                    outcomes[j] = Some(JobOutcome::Rejected);
-                    continue;
-                }
-            };
-            let Some(policy) = sub.policy.take() else {
-                outcomes[j] = Some(JobOutcome::Failed(
-                    "internal: job policy consumed before dispatch".into(),
-                ));
-                continue;
-            };
-            let mut builder = Session::builder(&spec.jobs[j].model, &spec.jobs[j].dataset)
-                .policy_boxed(policy)
-                .device(spec.devices[d].clone())
-                .seed(spec.jobs[j].seed)
-                .record(spec.record);
-            if let Some(cfg) = recovery {
-                builder = builder.recovery(cfg);
-            }
-            if let Some(inj) = spec.faults.injector_for(d) {
-                builder = builder.chaos(inj);
-            }
-            match builder.build() {
-                Ok(session) => {
-                    queue_waits[j] = Some(t.saturating_sub(arrival_ns[j]));
-                    details[j].device = Some(d);
-                    details[j].dispatch_round = Some(epoch);
-                    details[j].dispatch_seq = Some(dispatch_seq);
-                    events.push(FleetEvent {
-                        round: epoch,
-                        at_ns: t,
-                        kind: FleetEventKind::Dispatch {
-                            job: j,
-                            device: d,
-                            seq: dispatch_seq,
-                        },
-                        cost_ns: 0,
-                    });
-                    dispatch_seq += 1;
-                    let mut run = Running {
-                        job: j,
-                        session,
-                        remaining: spec.jobs[j].iters,
-                        reports: Vec::with_capacity(spec.jobs[j].iters),
-                        seg_ns: 0,
-                        seg_iters: 0,
-                        inflight: None,
-                    };
-                    advance(&mut run, &mut q, t, d);
-                    devices[d].running = Some(run);
-                }
-                Err(e) => {
-                    let reason = e.to_string();
-                    events.push(FleetEvent {
-                        round: epoch,
-                        at_ns: t,
-                        kind: FleetEventKind::Fail {
-                            job: j,
-                            reason: reason.clone(),
-                        },
-                        cost_ns: 0,
-                    });
-                    outcomes[j] = Some(JobOutcome::Failed(reason));
-                }
-            }
-        }
-        ctl.stats.deferred_rounds += pending.len() + displaced.len();
-        epoch += 1;
+        fleet.triage();
+        fleet.dispatch_pass();
+        fleet.ctl.stats.deferred_rounds += fleet.pending.len() + fleet.displaced.len();
+        fleet.epoch += 1;
     }
 
     // The queue drained with work still waiting: no running iteration, no
     // upcoming transition, no backoff wakeup — there is no event that
     // could ever place these jobs. Shed them explicitly, lowest priority
     // first, at the final instant.
-    if !pending.is_empty() || !displaced.is_empty() {
-        let mut stragglers: Vec<(usize, Option<Displaced>)> = pending
-            .drain(..)
-            .map(|j| (j, None))
-            .chain(displaced.drain(..).map(|x| (x.job, Some(x))))
-            .collect();
-        stragglers.sort_by_key(|(j, _)| (spec.jobs[*j].priority, *j));
-        for (j, dsp) in stragglers {
-            let reason = "fleet quiesced with no placement path for this job".to_string();
-            events.push(FleetEvent {
-                round: epoch,
-                at_ns: last_t,
-                kind: FleetEventKind::Shed {
-                    job: j,
-                    reason: reason.clone(),
-                },
-                cost_ns: 0,
-            });
-            fleet.shed_jobs += 1;
-            outcomes[j] = Some(JobOutcome::Shed(reason));
-            if let Some(dsp) = dsp {
-                let (summary, records, policy) = dsp.checkpoint.into_evidence();
-                details[j].summary = summary;
-                details[j].records.extend(records);
-                details[j].plan_tiers = policy.plan_tier_stats();
-            }
-        }
-        epoch += 1;
+    if !fleet.pending.is_empty() || !fleet.displaced.is_empty() {
+        let mut stragglers = std::mem::take(&mut fleet.pending);
+        stragglers.append(&mut fleet.displaced);
+        fleet.shed_all(
+            stragglers,
+            "fleet quiesced with no placement path for this job",
+        );
+        fleet.epoch += 1;
     }
 
-    // Makespan is the last instant anything *happened* — the maximum event
-    // timestamp — not the last instant the heap held (stale backoff
-    // wakeups past the end of useful work must not inflate it). Every job
-    // end emits a terminal event, so coverage is guaranteed.
-    let makespan_ns = events.iter().map(|e| e.at_ns).max().unwrap_or(0);
-    let device_stats = devices
-        .iter()
-        .map(|s| DeviceAccum {
-            busy_ns: s.busy_ns,
-            jobs_run: s.jobs_run,
-            iters: s.iters,
-        })
-        .collect();
-    let report = protocol::finish_report(
+    protocol::finish_report(
         spec,
-        ctl,
-        &details,
+        fleet.ctl,
+        fleet.jobs,
         RollupInputs {
-            outcomes,
-            queue_waits,
-            demoted,
-            placements,
-            migrations,
-            retries,
-            overhead,
-            arrival_ns,
-            finish_ns,
-            events,
-            fleet,
-            lost,
-            device_stats,
-            rounds: epoch,
-            makespan_ns,
+            events: fleet.events,
+            fleet: fleet.fleet,
+            devices: fleet.devices.into_iter().map(|s| s.stats).collect(),
+            rounds: fleet.epoch,
         },
-    );
-    ClusterOutcome { report, details }
+    )
+}
+
+impl<'a> Driver<'a> {
+    /// Append an event to the chain at the current batch and instant.
+    fn emit(&mut self, kind: FleetEventKind, cost_ns: u64) {
+        self.events.push(FleetEvent {
+            round: self.epoch,
+            at_ns: self.now,
+            kind,
+            cost_ns,
+        });
+    }
+
+    /// The fault plan crossed a boundary: log every device whose condition
+    /// changed and schedule the next boundary. A job in flight on a device
+    /// that went down keeps running to its iteration boundary, where
+    /// [`Self::finish`] displaces it.
+    fn transition(&mut self) {
+        let (faults, t) = (&self.spec.faults, self.now);
+        for d in 0..self.devices.len() {
+            let cond = faults.device_condition_at_ns(d, t);
+            if cond == self.devices[d].cond {
+                continue;
+            }
+            self.devices[d].cond = cond;
+            let kind = match cond {
+                DeviceCondition::Up => FleetEventKind::DeviceUp { device: d },
+                DeviceCondition::Lost => {
+                    self.devices[d].stats.lost = true;
+                    self.fleet.devices_lost += 1;
+                    FleetEventKind::DeviceDown {
+                        device: d,
+                        until_round: None,
+                    }
+                }
+                DeviceCondition::Down => {
+                    // Walk the timed boundaries to the instant this device
+                    // returns.
+                    let mut probe = t;
+                    let mut until = None;
+                    while let Some(b) = faults.next_transition_after_ns(probe) {
+                        match faults.device_condition_at_ns(d, b) {
+                            DeviceCondition::Up => {
+                                until = Some(b as usize);
+                                break;
+                            }
+                            DeviceCondition::Lost => break,
+                            DeviceCondition::Down => probe = b,
+                        }
+                    }
+                    FleetEventKind::DeviceDown {
+                        device: d,
+                        until_round: until,
+                    }
+                }
+            };
+            self.emit(kind, 0);
+        }
+        if let Some(next) = faults.next_transition_after_ns(t) {
+            self.q.push(next, Ev::Transition);
+        }
+    }
+
+    /// A job enters the fleet: it queues, is shed by a full queue, or —
+    /// when submission settled it — replays that verdict on the chain.
+    fn arrive(&mut self, j: usize) {
+        self.emit(FleetEventKind::Arrive { job: j }, 0);
+        let Some((sub, policy)) = self.jobs[j].submission.take() else {
+            match &self.jobs[j].outcome {
+                Some(JobOutcome::Rejected) => {
+                    let reason = self.jobs[j]
+                        .detail
+                        .admission_reason
+                        .clone()
+                        .unwrap_or_else(|| "rejected at submission".to_string());
+                    self.emit(FleetEventKind::Reject { job: j, reason }, 0);
+                }
+                Some(JobOutcome::Failed(reason)) => self.fail(j, reason.clone()),
+                _ => {}
+            }
+            return;
+        };
+        let waiting = Waiting {
+            job: j,
+            sub,
+            remaining: self.spec.jobs[j].iters,
+            ready_ns: self.now,
+            start: Start::Fresh(policy),
+        };
+        match self.spec.queue_limit {
+            // The overload valve: bounded queue full, shed on arrival
+            // rather than queue into an SLO-busting backlog.
+            Some(limit) if self.pending.len() >= limit => {
+                let reason = format!(
+                    "queue full on arrival ({} jobs waiting, limit {limit})",
+                    self.pending.len()
+                );
+                self.shed(waiting, reason);
+            }
+            _ => self.pending.push(waiting),
+        }
+    }
+
+    /// The in-flight iteration on `d` reached its boundary: commit it, then
+    /// settle the job, run its next iteration, or displace it off a device
+    /// that died under it.
+    fn finish(&mut self, d: usize) {
+        let Some(InFlight {
+            mut run,
+            predicted,
+            outcome,
+        }) = self.devices[d].inflight.take()
+        else {
+            return; // stale wakeup; nothing in flight here
+        };
+        let report = match outcome {
+            Ok(report) => report,
+            // An exec error ends the job on this device and counts as a
+            // job run there.
+            Err(e) => return self.settle(d, run, Err(e.to_string()), true),
+        };
+        let dt = report.time.total_ns();
+        let dev = &mut self.devices[d].stats;
+        dev.busy_ns += dt;
+        dev.iters += 1;
+        run.seg_ns += dt;
+        run.seg_iters += 1;
+        if let Some(p) = predicted {
+            self.ctl.stats.score(p, report.peak_bytes);
+        }
+        run.reports.push(report);
+        run.remaining = run.remaining.saturating_sub(1);
+        if run.remaining == 0 {
+            return self.settle(d, run, Ok(()), true);
+        }
+        if self.spec.faults.device_condition_at_ns(d, self.now) == DeviceCondition::Up {
+            return self.advance(d, run);
+        }
+        // The device died under the job: displace at this boundary.
+        let retries = self.jobs[run.job].retries + 1;
+        let max = self.spec.max_retries;
+        if retries > max {
+            // Unlike an exec error, a spent retry budget does not count
+            // as a job run on this device.
+            let reason = format!("displaced {retries} times; retry budget {max} exhausted");
+            return self.settle(d, run, Err(reason), false);
+        }
+        self.close_segment(d, &mut run);
+        let j = run.job;
+        let checkpoint = run.session.checkpoint();
+        let st = &mut self.jobs[j];
+        st.retries = retries;
+        st.overhead_ns += CHECKPOINT_COST_NS;
+        self.fleet.checkpoints += 1;
+        let cursor = checkpoint.cursor();
+        self.emit(
+            FleetEventKind::Checkpoint {
+                job: j,
+                device: d,
+                cursor,
+            },
+            CHECKPOINT_COST_NS,
+        );
+        self.emit(FleetEventKind::Requeue { job: j, retries }, 0);
+        let ready_ns = self
+            .now
+            .saturating_add(BACKOFF_BASE_NS << (retries - 1).min(32));
+        let until_round = ready_ns as usize;
+        self.emit(
+            FleetEventKind::Backoff {
+                job: j,
+                until_round,
+            },
+            0,
+        );
+        self.q.push(ready_ns, Ev::Ready);
+        self.displaced.push(Waiting {
+            job: j,
+            sub: run.sub,
+            remaining: run.remaining,
+            ready_ns,
+            start: Start::Resume {
+                checkpoint,
+                from: d,
+            },
+        });
+    }
+
+    /// Close a job's segment on device `d`: record the placement and move
+    /// the segment's reports into the job's evidence.
+    fn close_segment(&mut self, d: usize, run: &mut Running) {
+        let st = &mut self.jobs[run.job];
+        if run.seg_iters > 0 || run.seg_ns > 0 {
+            st.placements.push(JobPlacement {
+                device: d,
+                busy_ns: run.seg_ns,
+                iters: run.seg_iters,
+            });
+        }
+        st.detail.reports.append(&mut run.reports);
+    }
+
+    /// End a running job for good: close its segment, keep its evidence and
+    /// write its terminal outcome — `Ok` completes it, `Err` fails it with
+    /// the reason. `count_run` says whether it counts toward `d`'s
+    /// `jobs_run`.
+    fn settle(&mut self, d: usize, mut run: Running, end: Result<(), String>, count_run: bool) {
+        self.close_segment(d, &mut run);
+        let j = run.job;
+        self.jobs[j].harvest(run.session.checkpoint());
+        if count_run {
+            self.devices[d].stats.jobs_run += 1;
+        }
+        match end {
+            Ok(()) => {
+                self.emit(FleetEventKind::Complete { job: j, device: d }, 0);
+                let st = &mut self.jobs[j];
+                st.outcome = Some(if st.migrations > 0 {
+                    JobOutcome::Migrated
+                } else {
+                    JobOutcome::Completed
+                });
+                st.finish_ns = Some(self.now);
+            }
+            Err(reason) => self.fail(j, reason),
+        }
+    }
+
+    fn fail(&mut self, j: usize, reason: String) {
+        let kind = FleetEventKind::Fail {
+            job: j,
+            reason: reason.clone(),
+        };
+        self.emit(kind, 0);
+        self.jobs[j].outcome = Some(JobOutcome::Failed(reason));
+    }
+
+    /// Shed a waiting job, keeping its parked checkpoint's evidence when it
+    /// has one.
+    fn shed(&mut self, w: Waiting, reason: String) {
+        let kind = FleetEventKind::Shed {
+            job: w.job,
+            reason: reason.clone(),
+        };
+        self.emit(kind, 0);
+        self.fleet.shed_jobs += 1;
+        let st = &mut self.jobs[w.job];
+        st.outcome = Some(JobOutcome::Shed(reason));
+        if let Start::Resume { checkpoint, .. } = w.start {
+            st.harvest(checkpoint);
+        }
+    }
+
+    /// Shed every job in `doomed`, lowest priority first.
+    fn shed_all(&mut self, mut doomed: Vec<Waiting>, reason: &str) {
+        let jobs = &self.spec.jobs;
+        doomed.sort_by_key(|w| (jobs[w.job].priority, w.job));
+        for w in doomed {
+            self.shed(w, reason.to_string());
+        }
+    }
+
+    /// Shed waiting work the degraded pool can never place. Down devices
+    /// still count (they come back); only lost ones don't.
+    fn triage(&mut self) {
+        let (spec, t) = (self.spec, self.now);
+        let alive_usable = (0..spec.devices.len())
+            .filter(|&d| spec.faults.device_condition_at_ns(d, t) != DeviceCondition::Lost)
+            .map(|d| protocol::usable_bytes(&spec.devices[d], spec.headroom))
+            .max()
+            .unwrap_or(0);
+        let unplaceable = |w: &Waiting| w.sub.floor > alive_usable;
+        if !self.pending.iter().chain(&self.displaced).any(unplaceable) {
+            return;
+        }
+        let (mut doomed, kept): (Vec<_>, Vec<_>) = self.displaced.drain(..).partition(unplaceable);
+        self.displaced = kept;
+        let (queued, kept): (Vec<_>, Vec<_>) = self.pending.drain(..).partition(unplaceable);
+        self.pending = kept;
+        doomed.extend(queued);
+        let reason = if alive_usable == 0 {
+            "no surviving device in the pool".to_string()
+        } else {
+            format!(
+                "all-checkpoint floor exceeds every surviving device's usable \
+                 capacity ({alive_usable} B)"
+            )
+        };
+        self.shed_all(doomed, &reason);
+    }
+
+    /// Idle, up devices pick work in index order. Displaced jobs (highest
+    /// priority, then requeue order) outrank fresh arrivals — they hold
+    /// warmed checkpoints, and deferring new admissions is the fleet's
+    /// backpressure under degradation. Both lines offer a job only to a
+    /// device whose usable capacity holds its all-checkpoint floor.
+    fn dispatch_pass(&mut self) {
+        let (spec, t) = (self.spec, self.now);
+        for d in 0..spec.devices.len() {
+            if self.devices[d].inflight.is_some()
+                || spec.faults.device_condition_at_ns(d, t) != DeviceCondition::Up
+            {
+                continue;
+            }
+            let cap_factor = spec.faults.capacity_factor_at_ns(d, t);
+            let usable = protocol::usable_bytes(
+                &protocol::effective_device(spec, d, cap_factor),
+                spec.headroom,
+            );
+            let resumable = self
+                .displaced
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.ready_ns <= t && w.sub.floor <= usable)
+                .min_by_key(|(pos, w)| (Reverse(spec.jobs[w.job].priority), *pos))
+                .map(|(pos, _)| pos);
+            let waiting = if let Some(pos) = resumable {
+                self.displaced.remove(pos)
+            } else if let Some(pos) = protocol::pick_pending(
+                spec.schedule,
+                &self.pending,
+                &spec.jobs,
+                &spec.devices[d],
+                usable,
+            ) {
+                self.pending.remove(pos)
+            } else {
+                continue;
+            };
+            self.dispatch(d, usable, waiting);
+        }
+    }
+
+    /// Start a waiting job on device `d`: decide admission, arm recovery
+    /// on a demotion, build the session and run its first iteration. A
+    /// fresh job starts under its submitted policy and seed; a displaced
+    /// one migrates by resuming its checkpoint.
+    fn dispatch(&mut self, d: usize, usable: usize, w: Waiting<'a>) {
+        let spec = self.spec;
+        let (j, job, sub) = (w.job, &spec.jobs[w.job], &w.sub);
+        let decision = self.ctl.decide_certified(
+            sub.predicted_peak,
+            sub.floor,
+            usable,
+            sub.certificate.as_ref(),
+        );
+        let st = &mut self.jobs[j];
+        if st.detail.admission_reason.is_none() {
+            st.detail.admission_reason =
+                decision
+                    .reason(sub.predicted_peak, usable)
+                    .map(|r| match &sub.graph_evidence {
+                        Some(g) => format!("{r}; {g}"),
+                        None => r,
+                    });
+        }
+        let recovery = match decision {
+            AdmissionDecision::Admit => job.recovery.clone(),
+            AdmissionDecision::Demote { .. } => {
+                st.demoted = true;
+                Some(job.recovery.clone().unwrap_or_default())
+            }
+        };
+        let builder = Session::builder(&job.model, &job.dataset)
+            .device(spec.devices[d].clone())
+            .record(spec.record);
+        let (mut builder, migration) = match w.start {
+            Start::Fresh(policy) => (builder.policy_boxed(policy).seed(job.seed), None),
+            Start::Resume { checkpoint, from } => {
+                let cursor = checkpoint.cursor();
+                (builder.resume(checkpoint), Some((from, cursor)))
+            }
+        };
+        if let Some(cfg) = recovery {
+            builder = builder.recovery(cfg);
+        }
+        if let Some(inj) = spec.faults.injector_for(d) {
+            builder = builder.chaos(inj);
+        }
+        let session = match builder.build() {
+            Ok(session) => session,
+            Err(e) => return self.fail(j, e.to_string()),
+        };
+        let seq = self.dispatch_seq;
+        self.dispatch_seq += 1;
+        let st = &mut self.jobs[j];
+        st.detail.device = Some(d);
+        if let Some((from, cursor)) = migration {
+            st.overhead_ns += RESTORE_COST_NS;
+            st.migrations += 1;
+            self.fleet.migrations += 1;
+            let kind = FleetEventKind::Migrate {
+                job: j,
+                from,
+                to: d,
+                cursor,
+                seq,
+            };
+            self.emit(kind, RESTORE_COST_NS);
+        } else {
+            st.queue_wait_ns = Some(self.now.saturating_sub(st.arrival_ns));
+            st.detail.dispatch_round = Some(self.epoch);
+            st.detail.dispatch_seq = Some(seq);
+            self.emit(
+                FleetEventKind::Dispatch {
+                    job: j,
+                    device: d,
+                    seq,
+                },
+                0,
+            );
+        }
+        let run = Running {
+            job: j,
+            sub: w.sub,
+            session,
+            remaining: w.remaining,
+            reports: Vec::with_capacity(w.remaining),
+            seg_ns: 0,
+            seg_iters: 0,
+        };
+        self.advance(d, run);
+    }
+
+    /// Eagerly execute the job's next iteration on `d` and schedule its
+    /// completion event. An exec error schedules a zero-length completion
+    /// so the failure settles through the same boundary path.
+    fn advance(&mut self, d: usize, mut run: Running<'a>) {
+        let predicted = run.session.predicted_peak_bytes().ok();
+        let outcome = run.session.step();
+        let dt = outcome.as_ref().map_or(0, |r| r.time.total_ns());
+        self.q
+            .push(self.now.saturating_add(dt), Ev::Finish { device: d });
+        self.devices[d].inflight = Some(InFlight {
+            run,
+            predicted,
+            outcome,
+        });
+    }
 }
 
 #[cfg(test)]

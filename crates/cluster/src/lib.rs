@@ -10,7 +10,8 @@
 //! - **Admission** ([`AdmissionController`]) gates dispatch on the
 //!   policy's predicted peak for the job's next iteration against the
 //!   device's headroom-discounted capacity, demoting (arming the recovery
-//!   ladder) or rejecting via the analytic all-checkpoint floor.
+//!   ladder) when it does not fit; a job whose analytic all-checkpoint
+//!   floor fits no device is rejected at submission.
 //! - **Scheduling** happens in one driver behind one front door,
 //!   [`Cluster::builder`]: a **discrete-event loop** where an
 //!   [`ArrivalProcess`] feeds jobs into a virtual-time queue, and

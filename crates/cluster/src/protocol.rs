@@ -6,11 +6,13 @@
 //! and this module as *how*.
 
 use crate::admission::AdmissionController;
+use crate::events::FleetEvent;
 use crate::job::JobSpec;
 use crate::report::{
     ClusterReport, DeviceReport, FleetStats, JobOutcome, JobPlacement, JobReport, SloRollup,
 };
-use crate::spec::{ClusterSpec, JobDetail, SchedulePolicy};
+use crate::spec::{ClusterOutcome, ClusterSpec, JobDetail, SchedulePolicy};
+use mimose_exec::SessionCheckpoint;
 use mimose_models::{ModelInput, ModelProfile, OptimizedGraph, PassReport};
 use mimose_planner::memory_model::min_feasible_budget;
 use mimose_planner::{CheckpointPlan, MemoryPolicy};
@@ -19,13 +21,15 @@ use mimose_verify::{certify, SafetyCertificate, SizeBucket};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What the scheduler precomputes about a job at submission.
+/// What the scheduler precomputes about a job at submission: the facts
+/// every dispatch decision gates on.
 pub(crate) struct Submitted {
     /// Worst-case profile the static planners solved against, shared by
     /// every job over the same graph and worst-case input.
     pub worst: Arc<ModelProfile>,
-    /// All-checkpoint floor over the worst case — the admit/demote/reject
-    /// pivot.
+    /// All-checkpoint floor over the worst case: submission rejects a job
+    /// whose floor no device holds, dispatch offers only devices that hold
+    /// it, and demotion aims for it.
     pub floor: usize,
     /// The policy's predicted peak for the job's first iteration.
     pub predicted_peak: usize,
@@ -33,12 +37,68 @@ pub(crate) struct Submitted {
     /// peak bound), when it fits at least one device in the pool. Admits
     /// backed by it are scored as `verified_admits`.
     pub certificate: Option<SafetyCertificate>,
-    /// The built policy, taken at first dispatch.
-    pub policy: Option<Box<dyn MemoryPolicy>>,
     /// One-line summary of the graph passes that shrank the job's
-    /// predicted peak, appended to demote/reject reasons so the report
-    /// names the evidence behind the number it gated on.
+    /// predicted peak, appended to demotion reasons so the report names
+    /// the evidence behind the number it gated on.
     pub graph_evidence: Option<String>,
+}
+
+/// How a waiting job enters its next session.
+pub(crate) enum Start<'a> {
+    /// First dispatch, under the policy built at submission.
+    Fresh(Box<dyn MemoryPolicy>),
+    /// Migration off device `from`, resuming the checkpoint parked there.
+    Resume {
+        checkpoint: SessionCheckpoint<'a>,
+        from: usize,
+    },
+}
+
+/// A job waiting for a device: queued since its arrival, or displaced and
+/// backing off.
+pub(crate) struct Waiting<'a> {
+    pub job: usize,
+    pub sub: Submitted,
+    /// Iterations left to run.
+    pub remaining: usize,
+    /// First virtual instant the job may dispatch: its arrival, or the end
+    /// of its backoff.
+    pub ready_ns: u64,
+    pub start: Start<'a>,
+}
+
+/// Everything the driver keeps about one job: its public evidence and the
+/// counters its report row folds.
+#[derive(Default)]
+pub(crate) struct JobState {
+    pub detail: JobDetail,
+    /// Submission's facts and the policy built for the job, taken when the
+    /// job arrives. `None` for a job submission settled.
+    pub submission: Option<(Submitted, Box<dyn MemoryPolicy>)>,
+    /// Virtual arrival instant.
+    pub arrival_ns: u64,
+    pub outcome: Option<JobOutcome>,
+    /// Arrival to first dispatch (`None` if never dispatched).
+    pub queue_wait_ns: Option<u64>,
+    pub demoted: bool,
+    pub placements: Vec<JobPlacement>,
+    pub migrations: usize,
+    pub retries: usize,
+    /// Checkpoint and restore cost charged to the job.
+    pub overhead_ns: u64,
+    /// Virtual completion instant (`None` for jobs that never finished).
+    pub finish_ns: Option<u64>,
+}
+
+impl JobState {
+    /// Keep a session's evidence — folded summary, recorded streams and
+    /// plan-tier counters — once the job will not run again.
+    pub fn harvest(&mut self, parked: SessionCheckpoint) {
+        let (summary, records, policy) = parked.into_evidence();
+        self.detail.summary = summary;
+        self.detail.records.extend(records);
+        self.detail.plan_tiers = policy.plan_tier_stats();
+    }
 }
 
 /// Headroom-discounted capacity admission gates against.
@@ -99,20 +159,24 @@ type MemoKey = (*const OptimizedGraph, ModelInput);
 /// build its policy (static planners solve once against the worst case,
 /// costed on device 0), and settle jobs no device can ever hold. Jobs that
 /// settle here get their outcome written directly; everyone else gets a
-/// [`Submitted`] record.
+/// [`Submitted`] record and a policy, held until arrival.
 ///
 /// Profiles depend only on the graph and the input, so they are memoised
 /// per `(Arc::as_ptr(model), input)`: the worst case (with its floor and
 /// certificate) per dataset worst case, the first-batch profiles per
 /// first batch. The policy is built fresh per job, since it holds state.
-pub(crate) fn submit_jobs(
-    spec: &ClusterSpec,
-    ctl: &mut AdmissionController,
-    outcomes: &mut [Option<JobOutcome>],
-    details: &mut [JobDetail],
-) -> Vec<Option<Submitted>> {
-    let n_jobs = spec.jobs.len();
-    let mut submitted: Vec<Option<Submitted>> = Vec::with_capacity(n_jobs);
+pub(crate) fn submit_jobs(spec: &ClusterSpec, ctl: &mut AdmissionController) -> Vec<JobState> {
+    let mut jobs: Vec<JobState> = spec
+        .jobs
+        .iter()
+        .map(|job| JobState {
+            detail: JobDetail {
+                name: job.name.clone(),
+                ..JobDetail::default()
+            },
+            ..JobState::default()
+        })
+        .collect();
     let max_usable = spec
         .devices
         .iter()
@@ -121,7 +185,7 @@ pub(crate) fn submit_jobs(
         .unwrap_or(0);
     let mut worst_memo: HashMap<MemoKey, Result<WorstCase, String>> = HashMap::new();
     let mut first_memo: HashMap<MemoKey, FirstBatch> = HashMap::new();
-    for (j, job) in spec.jobs.iter().enumerate() {
+    for (job, st) in spec.jobs.iter().zip(&mut jobs) {
         let model = Arc::as_ptr(&job.model);
         let worst_case = worst_memo
             .entry((model, job.dataset.worst_case()))
@@ -152,20 +216,18 @@ pub(crate) fn submit_jobs(
         } = match worst_case {
             Ok(w) => w,
             Err(e) => {
-                outcomes[j] = Some(JobOutcome::Failed(e.clone()));
-                submitted.push(None);
+                st.outcome = Some(JobOutcome::Failed(e.clone()));
                 continue;
             }
         };
         let floor = *floor;
         if floor > max_usable {
             ctl.stats.rejected += 1;
-            outcomes[j] = Some(JobOutcome::Rejected);
-            details[j].admission_reason = Some(format!(
+            st.outcome = Some(JobOutcome::Rejected);
+            st.detail.admission_reason = Some(format!(
                 "all-checkpoint floor {floor} B exceeds every device's usable \
                  capacity (max {max_usable} B)"
             ));
-            submitted.push(None);
             continue;
         }
         let policy = job.policy.build(worst, &spec.devices[0]);
@@ -186,8 +248,7 @@ pub(crate) fn submit_jobs(
         let predicted_peak = match &first_batch.opt {
             Ok(p) => predict(p),
             Err(e) => {
-                outcomes[j] = Some(JobOutcome::Failed(e.clone()));
-                submitted.push(None);
+                st.outcome = Some(JobOutcome::Failed(e.clone()));
                 continue;
             }
         };
@@ -195,19 +256,19 @@ pub(crate) fn submit_jobs(
         // (pre-pass) graph. A strictly lower optimized prediction is the
         // byte credit the admission report attributes to the pipeline.
         let graph_raw_peak = first_batch.raw.as_ref().map(predict);
-        details[j].graph_raw_peak_bytes = graph_raw_peak;
-        details[j].graph_opt_peak_bytes = Some(predicted_peak);
+        st.detail.graph_raw_peak_bytes = graph_raw_peak;
+        st.detail.graph_opt_peak_bytes = Some(predicted_peak);
         let graph_evidence = graph_evidence(job.model.reports(), graph_raw_peak, predicted_peak);
-        submitted.push(Some(Submitted {
+        let sub = Submitted {
             worst: Arc::clone(worst),
             floor,
             predicted_peak,
             certificate: *certificate,
-            policy: Some(policy),
             graph_evidence,
-        }));
+        };
+        st.submission = Some((sub, policy));
     }
-    submitted
+    jobs
 }
 
 /// The device a dispatch decision sees: the pool profile, shrunk by any
@@ -229,30 +290,27 @@ pub(crate) fn effective_device(spec: &ClusterSpec, d: usize, cap_factor: f64) ->
 /// best-fit).
 pub(crate) fn pick_pending(
     schedule: SchedulePolicy,
-    pending: &[usize],
-    submitted: &[Option<Submitted>],
+    pending: &[Waiting],
     jobs: &[JobSpec],
     device: &DeviceProfile,
     usable: usize,
 ) -> Option<usize> {
     match schedule {
-        SchedulePolicy::Fifo => pending
-            .iter()
-            .position(|j| submitted[*j].as_ref().is_some_and(|s| s.floor <= usable)),
+        SchedulePolicy::Fifo => pending.iter().position(|w| w.sub.floor <= usable),
         SchedulePolicy::ShortestPredicted => pending
             .iter()
             .enumerate()
-            .filter_map(|(i, &j)| {
-                let s = submitted[j].as_ref()?;
-                (s.floor <= usable).then(|| (i, jobs[j].predicted_iter_ns(&s.worst, device)))
+            .filter_map(|(i, w)| {
+                let s = &w.sub;
+                (s.floor <= usable).then(|| (i, jobs[w.job].predicted_iter_ns(&s.worst, device)))
             })
             .min_by_key(|&(_, predicted)| predicted)
             .map(|(i, _)| i),
         SchedulePolicy::BestFitMemory => pending
             .iter()
             .enumerate()
-            .filter_map(|(i, &j)| {
-                let s = submitted[j].as_ref()?;
+            .filter_map(|(i, w)| {
+                let s = &w.sub;
                 // Jobs that only fit demoted fill the device to their
                 // floor, not their prediction.
                 let fill = if s.predicted_peak <= usable {
@@ -267,7 +325,8 @@ pub(crate) fn pick_pending(
     }
 }
 
-/// Per-device accumulator snapshot handed to the rollup.
+/// Per-device accumulator handed to the rollup.
+#[derive(Default)]
 pub(crate) struct DeviceAccum {
     /// Virtual nanoseconds spent executing iterations.
     pub busy_ns: u64,
@@ -275,80 +334,63 @@ pub(crate) struct DeviceAccum {
     pub jobs_run: usize,
     /// Iterations executed here.
     pub iters: usize,
+    /// Whether the device was permanently lost.
+    pub lost: bool,
 }
 
-/// Everything the driver accumulated, ready to fold into a
+/// Fleet-wide state the driver accumulated, ready to fold into a
 /// [`ClusterReport`].
 pub(crate) struct RollupInputs {
-    pub outcomes: Vec<Option<JobOutcome>>,
-    pub queue_waits: Vec<Option<u64>>,
-    pub demoted: Vec<bool>,
-    pub placements: Vec<Vec<JobPlacement>>,
-    pub migrations: Vec<usize>,
-    pub retries: Vec<usize>,
-    pub overhead: Vec<u64>,
-    /// Virtual arrival instant per job.
-    pub arrival_ns: Vec<u64>,
-    /// Virtual completion instant per job (`None` for jobs that never
-    /// finished).
-    pub finish_ns: Vec<Option<u64>>,
-    pub events: Vec<crate::events::FleetEvent>,
+    pub events: Vec<FleetEvent>,
     pub fleet: FleetStats,
-    pub lost: Vec<bool>,
-    pub device_stats: Vec<DeviceAccum>,
+    pub devices: Vec<DeviceAccum>,
     pub rounds: usize,
-    pub makespan_ns: u64,
 }
 
-/// The shared rollup: fold driver state into the final [`ClusterReport`].
-/// Queue-wait means, utilization, per-job rows, the SLO tail fold and the
-/// JSON-visible spec echoes (mode, arrivals) all live here.
+/// The shared rollup: fold driver state into the final [`ClusterReport`]
+/// and hand back each job's [`JobDetail`]. Queue-wait means, utilization,
+/// per-job rows, the SLO tail fold and the JSON-visible spec echoes (mode,
+/// arrivals) all live here.
 pub(crate) fn finish_report(
     spec: &ClusterSpec,
     ctl: AdmissionController,
-    details: &[JobDetail],
+    mut jobs: Vec<JobState>,
     inputs: RollupInputs,
-) -> ClusterReport {
+) -> ClusterOutcome {
     let n_devs = spec.devices.len();
     let RollupInputs {
-        outcomes,
-        queue_waits,
-        demoted,
-        placements,
-        migrations,
-        retries,
-        overhead,
-        arrival_ns,
-        finish_ns,
         events,
         mut fleet,
-        lost,
-        device_stats,
+        devices,
         rounds,
-        makespan_ns,
     } = inputs;
 
-    let busy_ns: u64 = device_stats.iter().map(|s| s.busy_ns).sum();
+    // Makespan is the last instant anything *happened* — the maximum event
+    // timestamp — not the last instant the event queue held (stale backoff
+    // wakeups past the end of useful work must not inflate it). Every job
+    // end emits a terminal event, so coverage is guaranteed.
+    let makespan_ns = events.iter().map(|e| e.at_ns).max().unwrap_or(0);
+    let busy_ns: u64 = devices.iter().map(|s| s.busy_ns).sum();
     let utilization_pct = if makespan_ns > 0 {
         busy_ns as f64 / (makespan_ns as f64 * n_devs as f64) * 100.0
     } else {
         0.0
     };
-    let waits: Vec<u64> = queue_waits.iter().filter_map(|w| *w).collect();
+    let waits: Vec<u64> = jobs.iter().filter_map(|j| j.queue_wait_ns).collect();
     let mean_queue_wait_ns = if waits.is_empty() {
         0
     } else {
         waits.iter().sum::<u64>() / waits.len() as u64
     };
     let max_queue_wait_ns = waits.iter().copied().max().unwrap_or(0);
-    fleet.overhead_ns = overhead.iter().sum();
+    fleet.overhead_ns = jobs.iter().map(|j| j.overhead_ns).sum();
 
-    let jobs: Vec<JobReport> = spec
+    let rows: Vec<JobReport> = spec
         .jobs
         .iter()
-        .enumerate()
-        .map(|(j, job)| {
-            let s = &details[j].summary;
+        .zip(&mut jobs)
+        .map(|(job, st)| {
+            let s = &st.detail.summary;
             JobReport {
                 name: job.name.clone(),
                 policy: job.policy.name().to_string(),
@@ -356,31 +398,34 @@ pub(crate) fn finish_report(
                     let b = job.policy.budget_bytes();
                     (b != usize::MAX).then_some(b)
                 },
-                device: details[j].device,
-                outcome: outcomes[j].clone().unwrap_or(JobOutcome::Rejected),
-                demoted: demoted[j],
+                device: st.detail.device,
+                outcome: st.outcome.take().unwrap_or(JobOutcome::Rejected),
+                demoted: st.demoted,
                 iters: s.iters,
-                arrival_ns: arrival_ns[j],
-                queue_wait_ns: queue_waits[j].unwrap_or(0),
-                finish_ns: finish_ns[j],
+                arrival_ns: st.arrival_ns,
+                queue_wait_ns: st.queue_wait_ns.unwrap_or(0),
+                finish_ns: st.finish_ns,
                 total_ns: s.total_ns,
                 max_peak_bytes: s.max_peak_bytes,
                 oom_iters: s.oom_iters,
                 recovered_iters: s.recovered_iters,
                 recovery_events: s.recovery_events,
                 shuttle_iters: s.shuttle_iters,
-                plan_tiers: details[j].plan_tiers,
-                migrations: migrations[j],
-                retries: retries[j],
-                fleet_overhead_ns: overhead[j],
-                graph_raw_peak_bytes: details[j].graph_raw_peak_bytes,
-                graph_opt_peak_bytes: details[j].graph_opt_peak_bytes,
-                admission_reason: details[j].admission_reason.clone(),
-                placements: placements[j].clone(),
+                plan_tiers: st.detail.plan_tiers,
+                migrations: st.migrations,
+                retries: st.retries,
+                fleet_overhead_ns: st.overhead_ns,
+                graph_raw_peak_bytes: st.detail.graph_raw_peak_bytes,
+                graph_opt_peak_bytes: st.detail.graph_opt_peak_bytes,
+                admission_reason: st.detail.admission_reason.clone(),
+                placements: std::mem::take(&mut st.placements),
             }
         })
         .collect();
-    fleet.failed_jobs = jobs
+    // Collected in place into the job states' buffer, so the fold never
+    // holds two per-job buffers at once (peak RSS on large fleets).
+    let details: Vec<JobDetail> = jobs.into_iter().map(|st| st.detail).collect();
+    fleet.failed_jobs = rows
         .iter()
         .filter(|j| matches!(j.outcome, JobOutcome::Failed(_)))
         .count();
@@ -388,8 +433,8 @@ pub(crate) fn finish_report(
         .iter()
         .flat_map(|d| d.reports.iter().map(|r| r.time.total_ns()))
         .collect();
-    let slo = SloRollup::fold(&jobs, &iter_latencies, makespan_ns);
-    ClusterReport {
+    let slo = SloRollup::fold(&rows, &iter_latencies, makespan_ns);
+    let report = ClusterReport {
         schedule: spec.schedule.name().to_string(),
         mode: "event-driven".to_string(),
         arrivals: spec.arrivals.clone(),
@@ -399,15 +444,15 @@ pub(crate) fn finish_report(
         utilization_pct,
         mean_queue_wait_ns,
         max_queue_wait_ns,
-        oom_iters: jobs.iter().map(|j| j.oom_iters).sum(),
-        recovered_iters: jobs.iter().map(|j| j.recovered_iters).sum(),
-        recovery_events: jobs.iter().map(|j| j.recovery_events).sum(),
+        oom_iters: rows.iter().map(|j| j.oom_iters).sum(),
+        recovered_iters: rows.iter().map(|j| j.recovered_iters).sum(),
+        recovery_events: rows.iter().map(|j| j.recovery_events).sum(),
         admission: ctl.stats,
         slo,
         fleet,
         fault_plan: spec.faults.clone(),
         events,
-        devices: device_stats
+        devices: devices
             .iter()
             .enumerate()
             .map(|(i, s)| DeviceReport {
@@ -416,11 +461,12 @@ pub(crate) fn finish_report(
                 busy_ns: s.busy_ns,
                 jobs_run: s.jobs_run,
                 iters: s.iters,
-                lost: lost[i],
+                lost: s.lost,
             })
             .collect(),
-        jobs,
-    }
+        jobs: rows,
+    };
+    ClusterOutcome { report, details }
 }
 
 #[cfg(test)]
@@ -429,21 +475,23 @@ mod tests {
     use crate::{Cluster, DevicePool, Workload};
 
     /// Run the submission pass alone over `jobs` on two V100s.
-    fn submit(jobs: Vec<JobSpec>) -> (Vec<Option<Submitted>>, Vec<JobDetail>) {
+    fn submit(jobs: Vec<JobSpec>) -> Vec<JobState> {
         let spec = Cluster::builder()
             .devices(DevicePool::v100(2))
             .workload(Workload::custom(jobs))
             .build()
             .expect("well-formed spec");
-        let mut ctl = AdmissionController {
-            headroom: spec.headroom,
-            ..AdmissionController::default()
-        };
-        let mut outcomes = vec![None; spec.jobs.len()];
-        let mut details: Vec<JobDetail> = spec.jobs.iter().map(|_| JobDetail::default()).collect();
-        let submitted = submit_jobs(&spec, &mut ctl, &mut outcomes, &mut details);
-        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
-        (submitted, details)
+        let mut ctl = AdmissionController::default();
+        let jobs = submit_jobs(&spec, &mut ctl);
+        for st in &jobs {
+            assert!(st.outcome.is_none(), "{}: {:?}", st.detail.name, st.outcome);
+        }
+        jobs
+    }
+
+    fn submitted(st: &JobState) -> &Submitted {
+        let (sub, _) = st.submission.as_ref().expect("job submits");
+        sub
     }
 
     #[test]
@@ -457,16 +505,15 @@ mod tests {
             })
             .collect();
         let names: Vec<String> = shared.iter().map(|j| j.name.clone()).collect();
-        let (a, a_details) = submit(shared);
-        let (b, b_details) = submit(private);
+        let (a, b) = (submit(shared), submit(private));
         for (j, name) in names.iter().enumerate() {
-            let (x, y) = (a[j].as_ref().expect(name), b[j].as_ref().expect(name));
+            let (x, y) = (submitted(&a[j]), submitted(&b[j]));
             assert_eq!(x.floor, y.floor, "{name}");
             assert_eq!(x.predicted_peak, y.predicted_peak, "{name}");
             assert_eq!(x.certificate, y.certificate, "{name}");
             assert_eq!(x.graph_evidence, y.graph_evidence, "{name}");
             assert_eq!(format!("{:?}", x.worst), format!("{:?}", y.worst), "{name}");
-            let (dx, dy) = (&a_details[j], &b_details[j]);
+            let (dx, dy) = (&a[j].detail, &b[j].detail);
             assert_eq!(dx.graph_raw_peak_bytes, dy.graph_raw_peak_bytes, "{name}");
             assert_eq!(dx.graph_opt_peak_bytes, dy.graph_opt_peak_bytes, "{name}");
         }
@@ -482,11 +529,8 @@ mod tests {
             jobs[dtr].dataset.worst_case(),
             jobs[mimose].dataset.worst_case()
         );
-        let (submitted, _) = submit(jobs);
-        let (x, y) = (
-            submitted[dtr].as_ref().expect("dtr job submits"),
-            submitted[mimose].as_ref().expect("mimose job submits"),
-        );
+        let states = submit(jobs);
+        let (x, y) = (submitted(&states[dtr]), submitted(&states[mimose]));
         assert!(!Arc::ptr_eq(&x.worst, &y.worst));
         assert_ne!(x.worst.input_size, y.worst.input_size);
         assert_ne!(x.floor, y.floor);
