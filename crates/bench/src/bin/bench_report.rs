@@ -1,7 +1,8 @@
 //! Runs the planner, arena, and recorded-iteration suites and writes
-//! `BENCH_planner.json` + `BENCH_arena.json` + `BENCH_runtime.json` at the
-//! repository root — the machine-readable record the acceptance criteria
-//! (and future regression tracking) read.
+//! `BENCH_planner.json` + `BENCH_arena.json` + `BENCH_runtime.json` under
+//! `target/bench/` — the machine-readable record CI's bounds read. The
+//! committed files of the same names at the repository root are baselines
+//! and are left alone.
 //! `cargo run --release -p mimose-bench --bin bench_report`.
 //!
 //! Pass suite names (`planner`, `arena`, `runtime`) to regenerate a subset
@@ -13,7 +14,8 @@ use mimose_bench::suites::{arena_suite, planner_suite, runtime_suite};
 use std::path::Path;
 
 fn main() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
     let selected: Vec<String> = std::env::args().skip(1).collect();
     let wants = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
 
@@ -28,7 +30,7 @@ fn main() {
         let mut c = Criterion::default();
         suite(&mut c);
         c.report();
-        let path = root.join(format!("BENCH_{name}.json"));
+        let path = dir.join(format!("BENCH_{name}.json"));
         c.write_json(name, &path)
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());

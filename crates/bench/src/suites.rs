@@ -1,6 +1,6 @@
 //! Benchmark suites for the planning hot path, the arena and the recorded
-//! iteration; `bench_report` writes them to `BENCH_planner.json`,
-//! `BENCH_arena.json` and `BENCH_runtime.json`.
+//! iteration; `bench_report` writes them to `target/bench/` as
+//! `BENCH_planner.json`, `BENCH_arena.json` and `BENCH_runtime.json`.
 //!
 //! Rows named `*_after` keep the suffix from when each had a frozen
 //! pre-optimisation twin; those copies are deleted and their last medians
