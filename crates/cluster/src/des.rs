@@ -373,9 +373,7 @@ impl<'a> Driver<'a> {
         };
         let report = match outcome {
             Ok(report) => report,
-            // An exec error ends the job on this device and counts as a
-            // job run there.
-            Err(e) => return self.settle(d, run, Err(e.to_string()), true),
+            Err(e) => return self.settle(d, run, Err(e.to_string())),
         };
         let dt = report.time.total_ns();
         let dev = &mut self.devices[d].stats;
@@ -389,7 +387,7 @@ impl<'a> Driver<'a> {
         run.reports.push(report);
         run.remaining = run.remaining.saturating_sub(1);
         if run.remaining == 0 {
-            return self.settle(d, run, Ok(()), true);
+            return self.settle(d, run, Ok(()));
         }
         if self.spec.faults.device_condition_at_ns(d, self.now) == DeviceCondition::Up {
             return self.advance(d, run);
@@ -398,10 +396,8 @@ impl<'a> Driver<'a> {
         let retries = self.jobs[run.job].retries + 1;
         let max = self.spec.max_retries;
         if retries > max {
-            // Unlike an exec error, a spent retry budget does not count
-            // as a job run on this device.
             let reason = format!("displaced {retries} times; retry budget {max} exhausted");
-            return self.settle(d, run, Err(reason), false);
+            return self.settle(d, run, Err(reason));
         }
         self.close_segment(d, &mut run);
         let j = run.job;
@@ -460,15 +456,12 @@ impl<'a> Driver<'a> {
 
     /// End a running job for good: close its segment, keep its evidence and
     /// write its terminal outcome — `Ok` completes it, `Err` fails it with
-    /// the reason. `count_run` says whether it counts toward `d`'s
-    /// `jobs_run`.
-    fn settle(&mut self, d: usize, mut run: Running, end: Result<(), String>, count_run: bool) {
+    /// the reason. Either way it counts toward `d`'s `jobs_run`.
+    fn settle(&mut self, d: usize, mut run: Running, end: Result<(), String>) {
         self.close_segment(d, &mut run);
         let j = run.job;
         self.jobs[j].harvest(run.session.checkpoint());
-        if count_run {
-            self.devices[d].stats.jobs_run += 1;
-        }
+        self.devices[d].stats.jobs_run += 1;
         match end {
             Ok(()) => {
                 self.emit(FleetEventKind::Complete { job: j, device: d }, 0);

@@ -10,7 +10,6 @@ pub mod benchfile;
 pub mod cli;
 pub mod csv;
 pub mod experiments;
-pub mod fleetgate;
 pub mod par;
 pub mod planners;
 pub mod table;

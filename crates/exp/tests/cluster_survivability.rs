@@ -1,8 +1,7 @@
 //! Fleet survivability acceptance tests: the failure protocol end to end,
 //! over the canonical 8-job workload, through the public facade.
 //!
-//! The contract under test is the one the `cluster --gate` survivability
-//! leg enforces in CI: when the fault plan takes devices away mid-run,
+//! The contract under test: when the fault plan takes devices away mid-run,
 //! every job must end in an explicit outcome (finished, shed, or failed
 //! with bounded retries) — no hangs, no panics, no silent drops — the
 //! audit lint must re-derive the whole fleet rollup from the event chain,
